@@ -697,7 +697,7 @@ void BM_InferenceEnginePlanned(benchmark::State& state) {
 // so the computed bytes match the single-producer run), then one Drain
 // flushes the padded tail. items/sec is scenes/sec; the delta vs
 // BM_InferenceEngine/8 is the cost (or win) of contended Submit plus the
-// dispatcher handoff at the same batch shape.
+// worker handoff at the same batch shape.
 void BM_InferenceEngineAsync(benchmark::State& state) {
   PredictFixture f;
   const auto& dgd = TrainBenchData();
@@ -899,7 +899,7 @@ BENCHMARK(BM_PredictNoGrad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PredictEager)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PredictPlanned)->Unit(benchmark::kMillisecond);
 // Engine benches gate on whole-process CPU: with the async engine, batch
-// execution happens on the dispatcher and worker threads, so main-thread
+// execution happens on the engine's serving workers, so main-thread
 // cpu_time would measure only Submit/Drain bookkeeping.
 BENCHMARK(BM_InferenceEngine)
     ->Arg(1)

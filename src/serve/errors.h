@@ -45,7 +45,7 @@ class OverloadedError : public ServeError {
 };
 
 /// The request's deadline passed while it was still queued (it never began
-/// executing); the dispatcher expired it before batch formation. Requests
+/// executing); the engine expired it before batch formation. Requests
 /// that already entered a batch always run to completion.
 class DeadlineExceededError : public ServeError {
  public:

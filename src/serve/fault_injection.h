@@ -11,12 +11,12 @@
 // Determinism: the schedule maps GLOBAL Predict call indices (0-based,
 // shared across the wrapper and all of its serving clones via an atomic
 // counter) to fault specs. Which engine batch receives call index k is
-// deterministic whenever the engine serializes batch execution
-// (num_replicas = 1, or force_serialized() below) — the dispatcher then
-// runs batches in collection order, so call index == batch index. With a
-// replica pool, batches in one wave race for call indices; chaos tests that
-// pin "batch b faults" serialize, tests that only need "exactly one batch
-// faulted somewhere mid-wave" may keep the pool. MakeSeededFaultSchedule
+// deterministic whenever the engine has a single serving worker
+// (num_replicas = 1, or force_serialized below) — that worker then runs
+// batches one at a time in slot order, so call index == batch index. With a
+// replica pool, concurrent workers race for call indices; chaos tests that
+// pin "batch b faults" use one worker, tests that only need "exactly one
+// batch faulted somewhere" may keep the pool. MakeSeededFaultSchedule
 // derives a schedule from a seed (splitmix64), so a chaos run is
 // reproducible from (seed, rate) alone.
 //
@@ -75,8 +75,9 @@ FaultSchedule MakeSeededFaultSchedule(uint64_t seed, int64_t num_calls,
 class FaultInjectingMethod : public core::Method {
  public:
   /// Wraps `inner` (not owned; must outlive the wrapper and every clone).
-  /// `force_serialized` reports the wrapper non-reentrant and unclonable so
-  /// the engine runs one batch at a time and call index == batch index.
+  /// `force_serialized` reports the wrapper non-reentrant and unclonable, so
+  /// the engine gets one serving worker, runs one batch at a time, and call
+  /// index == batch index.
   FaultInjectingMethod(const core::Method* inner, FaultSchedule schedule,
                        bool force_serialized = true);
 
@@ -100,7 +101,7 @@ class FaultInjectingMethod : public core::Method {
   /// Thread-safety contract (no mutex, so nothing for the Clang
   /// thread-safety analysis to check — deliberately): the two counters are
   /// lock-free atomics (fetch_add claims a call index uniquely even across
-  /// a replica wave), and `schedule` is written only by the constructor
+  /// concurrent serving workers), and `schedule` is written only by the constructor
   /// before any Predict can run, then read-only for the wrapper's lifetime.
   /// Atomics ordering stays the TSan legs' job — the analysis treats
   /// std::atomic as unguarded by design (see support/thread_annotations.h).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -29,8 +28,6 @@ void ValidateOptions(const InferenceEngineOptions& options) {
   ADAPTRAJ_CHECK_MSG(options.batch_size >= 1,
                      "InferenceEngine batch_size must be >= 1; got "
                          << options.batch_size);
-  ADAPTRAJ_CHECK_MSG(options.max_buffered_batches >= 0,
-                     "InferenceEngine max_buffered_batches must be >= 0");
   ADAPTRAJ_CHECK_MSG(options.max_batch_delay_ms >= 0,
                      "InferenceEngine max_batch_delay_ms must be >= 0");
   ADAPTRAJ_CHECK_MSG(options.num_replicas >= 0,
@@ -65,7 +62,16 @@ InferenceEngine::InferenceEngine(const core::Method* method,
     // Uncontended (the service threads start below); taken so the guarded
     // members are initialized under their capability like everywhere else.
     support::MutexLock lock(mu_);
-    replicas_ = MakeReplicaPool(method_);
+    replicas_ = MakeReplicaPool(method_, options_.num_replicas > 0
+                                             ? options_.num_replicas
+                                             : parallel::NumTrainWorkers());
+    // Reentrant methods share the master, so any worker count is safe; a
+    // non-reentrant one gets exactly one worker per private instance.
+    if (method_->reentrant_predict()) {
+      num_workers_ = parallel::NumTrainWorkers();
+    } else {
+      num_workers_ = replicas_ != nullptr ? replicas_->size() : 1;
+    }
     if (EncodeCacheResolvedOn(options_.encode_cache) &&
         method_->predict_encode_width() > 0) {
       EncodeCacheOptions cache_options;
@@ -75,7 +81,15 @@ InferenceEngine::InferenceEngine(const core::Method* method,
       encode_cache_ = std::make_unique<EncodeCache>(cache_options);
     }
   }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  workers_.reserve(static_cast<size_t>(num_workers_));
+  for (int w = 0; w < num_workers_; ++w) {
+    workers_.emplace_back([this, w] {
+      if (num_workers_ == 1) return WorkerLoop(w);
+      // Parallelism comes from the workers: each runs its kernels inline.
+      parallel::InlineKernelsScope inline_kernels;
+      WorkerLoop(w);
+    });
+  }
   watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
@@ -95,7 +109,7 @@ InferenceEngine::~InferenceEngine() {
     support::MutexLock lock(mu_);
     while (blocked_callers_ != 0) idle_cv_.Wait(lock);
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
   if (watchdog_.joinable()) watchdog_.join();
 }
 
@@ -106,8 +120,8 @@ void InferenceEngine::Shutdown() {
       shutdown_ = true;
       // Lossless error delivery even on teardown: queued requests that never
       // executed fail with a typed, descriptive error instead of a broken
-      // promise. The in-flight group (already moved out of pending_) still
-      // delivers its results when the dispatcher returns.
+      // promise. Batches in flight (already moved out of pending_) still
+      // deliver their results before their workers exit.
       for (auto& entry : pending_) {
         if (entry.second.expired) continue;  // already failed by its deadline
         ++stats_.stopped_requests;
@@ -120,18 +134,16 @@ void InferenceEngine::Shutdown() {
       armed_deadlines_ = 0;
     }
   }
-  dispatch_cv_.NotifyAll();
+  work_cv_.NotifyAll();
+  head_cv_.NotifyAll();
   watchdog_cv_.NotifyAll();
   space_cv_.NotifyAll();
   drained_cv_.NotifyAll();
 }
 
-std::unique_ptr<ReplicaPool> InferenceEngine::MakeReplicaPool(
-    const core::Method* method) const {
-  if (method->reentrant_predict()) return nullptr;
-  const int slots = options_.num_replicas > 0 ? options_.num_replicas
-                                              : parallel::NumTrainWorkers();
-  if (slots <= 1) return nullptr;
+std::unique_ptr<ReplicaPool> InferenceEngine::MakeReplicaPool(const core::Method* method,
+                                                              int slots) {
+  if (method->reentrant_predict() || slots <= 1) return nullptr;
   return std::make_unique<ReplicaPool>(method, slots);
 }
 
@@ -164,6 +176,12 @@ std::future<Tensor> InferenceEngine::FailedFuture(std::exception_ptr error) {
   return promise.get_future();
 }
 
+std::future<Tensor> InferenceEngine::RejectLocked(const std::string& message) {
+  ++stats_.requests;
+  ++stats_.rejected_requests;
+  return FailedFuture(std::make_exception_ptr(ServeError(message)));
+}
+
 std::future<Tensor> InferenceEngine::Submit(const data::TrajectorySequence& scene) {
   return SubmitImpl(/*has_explicit_id=*/false, 0, scene, SubmitOptions());
 }
@@ -188,12 +206,14 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
                                                 uint64_t request_id,
                                                 const data::TrajectorySequence& scene,
                                                 const SubmitOptions& submit_options) {
-  ADAPTRAJ_CHECK_MSG(submit_options.timeout_ms >= 0,
-                     "Submit timeout_ms must be >= 0; got "
-                         << submit_options.timeout_ms);
   std::future<Tensor> future;
+  support::CondVar* wake = nullptr;
   {
     support::MutexLock lock(mu_);
+    if (submit_options.timeout_ms < 0) {
+      return RejectLocked("Submit timeout_ms must be >= 0; got " +
+                          std::to_string(submit_options.timeout_ms));
+    }
     const size_t bound = static_cast<size_t>(options_.max_queued_requests);
     if (!shutdown_ && bound > 0 && pending_.size() >= bound) {
       if (options_.overflow_policy == OverflowPolicy::kShed) {
@@ -206,7 +226,7 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
             std::to_string(pending_.size()) + " requests (max_queued_requests=" +
             std::to_string(options_.max_queued_requests) + ")")));
       }
-      // Backpressure: park the producer until the dispatcher retires queue
+      // Backpressure: park the producer until a worker retires queue
       // entries — or shutdown turns the wait into a typed failure.
       ++blocked_callers_;
       while (!shutdown_ && pending_.size() >= bound) space_cv_.Wait(lock);
@@ -220,51 +240,78 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
           EngineStoppedError("Submit on a stopped InferenceEngine")));
     }
     future = SubmitLocked(has_explicit_id ? request_id : next_auto_id_, scene,
-                          submit_options);
+                          submit_options, &wake);
   }
-  dispatch_cv_.NotifyOne();
+  if (wake != nullptr) wake->NotifyOne();
   if (submit_options.timeout_ms > 0) watchdog_cv_.NotifyOne();
   return future;
 }
 
 std::future<Tensor> InferenceEngine::SubmitLocked(uint64_t request_id,
                                                   const data::TrajectorySequence& scene,
-                                                  const SubmitOptions& submit_options) {
+                                                  const SubmitOptions& submit_options,
+                                                  support::CondVar** wake) {
   const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
-  if (request_id < next_batch_ * batch_size && options_.max_batch_delay_ms > 0) {
-    // With the deadline enabled, the dispatcher retires slot space on a
-    // timer the producers cannot observe, so an explicit id landing in an
-    // already-flushed batch is an operational race, not a programming
-    // error — deliver it through the future instead of aborting the server.
-    ++stats_.requests;
-    ++stats_.rejected_requests;
-    return FailedFuture(std::make_exception_ptr(ServeError(
-        "request id " + std::to_string(request_id) +
-        " arrived after its batch was already flushed (a max_batch_delay_ms "
-        "deadline flush or a concurrent Drain retired its slot range)")));
+  const uint64_t first_slot = next_batch_ * batch_size;
+  if (request_id < first_slot) {
+    // A client-controlled id must never abort the server. With the deadline
+    // enabled this is usually an operational race — a worker retired the
+    // slot space on a timer the producer cannot observe.
+    if (options_.max_batch_delay_ms > 0) {
+      return RejectLocked(
+          "request id " + std::to_string(request_id) +
+          " arrived after its batch was already flushed (a max_batch_delay_ms "
+          "deadline flush or a concurrent Drain retired its slot range)");
+    }
+    return RejectLocked("request id " + std::to_string(request_id) +
+                        " belongs to batch " + std::to_string(request_id / batch_size) +
+                        ", which already executed (a duplicate or late id)");
   }
-  ADAPTRAJ_CHECK_MSG(request_id >= next_batch_ * batch_size,
-                     "request id " << request_id << " belongs to batch "
-                                   << request_id / batch_size
-                                   << ", which already executed");
-  ADAPTRAJ_CHECK_MSG(pending_.find(request_id) == pending_.end(),
-                     "duplicate request id " << request_id);
-  PendingRequest req;
-  req.scene = scene;
-  req.enqueue_time = Clock::now();
+  const auto inserted = pending_.try_emplace(request_id);
+  if (!inserted.second) {
+    return RejectLocked("duplicate request id " + std::to_string(request_id) +
+                        ": that slot is already pending");
+  }
+  PendingRequest& stored = inserted.first->second;
+  stored.scene = scene;
+  stored.enqueue_time = Clock::now();
   if (submit_options.timeout_ms > 0) {
-    req.has_deadline = true;
-    req.deadline =
-        req.enqueue_time + std::chrono::milliseconds(submit_options.timeout_ms);
+    stored.has_deadline = true;
+    stored.deadline =
+        stored.enqueue_time + std::chrono::milliseconds(submit_options.timeout_ms);
     ++armed_deadlines_;
   }
-  std::future<Tensor> future = req.promise.get_future();
-  pending_.emplace(request_id, std::move(req));
+  std::future<Tensor> future = stored.promise.get_future();
   next_auto_id_ = std::max(next_auto_id_, request_id + 1);
   ++stats_.requests;
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth,
                                      static_cast<int64_t>(pending_.size()));
+
+  if (request_id != run_end_) return future;  // the run did not grow
+  const uint64_t run_before = run_end_ - first_slot;
+  ExtendRunLocked();
+  if ((run_end_ - first_slot) / batch_size > run_before / batch_size) {
+    // This submission completed a batch (for an out-of-order id, by filling
+    // the hole that held one back).
+    *wake = TakeWakeLocked();
+  } else if (run_before == 0) {
+    // This submission became the head: a Drain may already cover it, or it
+    // starts the delay deadline someone must watch.
+    Clock::time_point head_deadline = Clock::time_point::max();
+    if (NextTakeLocked(stored.enqueue_time, &head_deadline) != Take::kNone) {
+      *wake = TakeWakeLocked();
+    } else if (head_deadline != Clock::time_point::max()) {
+      *wake = HeadWatchWakeLocked(head_deadline);
+    }
+  }
   return future;
+}
+
+void InferenceEngine::ExtendRunLocked() {
+  for (auto it = pending_.find(run_end_); it != pending_.end() && it->first == run_end_;
+       ++it) {
+    ++run_end_;
+  }
 }
 
 void InferenceEngine::ExpireOverdueLocked(Clock::time_point now) {
@@ -302,62 +349,80 @@ void InferenceEngine::Drain() {
   if (shutdown_) {
     throw EngineStoppedError("Drain on a stopped InferenceEngine");
   }
+  const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
   if (!pending_.empty()) {
     // Out-of-order streams must be complete before the tail can be padded:
     // a hole would silently shift every later request one slot. (Expired
     // tombstones still hold their slots and count here.)
-    const uint64_t first = next_batch_ * static_cast<uint64_t>(options_.batch_size);
+    const uint64_t first = next_batch_ * batch_size;
     const uint64_t last = pending_.rbegin()->first;
     ADAPTRAJ_CHECK_MSG(pending_.size() == last - first + 1,
                        "Drain with missing request ids: have "
                            << pending_.size() << " pending in slot range ["
                            << first << ", " << last << "]");
-    drain_until_slot_ = std::max(drain_until_slot_, last + 1);
   }
-  const uint64_t target = drain_until_slot_;
-  dispatch_cv_.NotifyOne();
+  // Every slot submitted so far lies below next_auto_id_, so the batches to
+  // wait for are exactly those below target_batch — whether still pending or
+  // already executing. Later submissions land in later batches and are not
+  // waited for, which keeps a Drain from starving under sustained traffic.
+  const uint64_t target_batch = (next_auto_id_ + batch_size - 1) / batch_size;
+  drain_until_slot_ = std::max(drain_until_slot_, next_auto_id_);
+  Clock::time_point head_deadline = Clock::time_point::max();
+  if (NextTakeLocked(Clock::now(), &head_deadline) != Take::kNone) {
+    if (support::CondVar* wake = TakeWakeLocked()) wake->NotifyOne();
+  }
   ++blocked_callers_;
-  while (!shutdown_ &&
-         !(next_batch_ * static_cast<uint64_t>(options_.batch_size) >= target &&
-           !executing_)) {
-    drained_cv_.Wait(lock);
-  }
+  while (!shutdown_ && !CompletedBelowLocked(target_batch)) drained_cv_.Wait(lock);
   --blocked_callers_;
   idle_cv_.NotifyAll();
-  const bool complete =
-      next_batch_ * static_cast<uint64_t>(options_.batch_size) >= target &&
-      !executing_;
-  if (!complete) {
+  if (!CompletedBelowLocked(target_batch)) {
     // Only reachable via shutdown: the engine stopped under the drainer.
     throw EngineStoppedError(
         "InferenceEngine shut down or destroyed while a Drain was waiting");
   }
 }
 
+bool InferenceEngine::CompletedBelowLocked(uint64_t batch) const {
+  return next_batch_ >= batch && (inflight_.empty() || inflight_.begin()->first >= batch);
+}
+
 void InferenceEngine::SwapWeights(const core::Method& source) {
   // Warm standby, built entirely outside the engine lock: traffic keeps
-  // flowing while the clone and its replica pool are constructed.
+  // flowing while the clone and its replica pool are constructed. A
+  // non-reentrant standby needs one private instance per worker.
   std::unique_ptr<core::Method> standby = source.CloneForServing();
   if (standby == nullptr) {
     throw ServeError("SwapWeights source method is not clonable "
                      "(CloneForServing returned nullptr)");
   }
-  std::unique_ptr<ReplicaPool> standby_pool = MakeReplicaPool(standby.get());
+  std::unique_ptr<ReplicaPool> standby_pool = MakeReplicaPool(standby.get(), num_workers_);
+  if (!standby->reentrant_predict() && num_workers_ > 1 &&
+      standby_pool->size() < num_workers_) {
+    throw ServeError("SwapWeights source method could not be cloned into one "
+                     "replica per serving worker (" +
+                     std::to_string(num_workers_) + ")");
+  }
 
   std::unique_ptr<core::Method> retired_method;
   std::unique_ptr<ReplicaPool> retired_pool;
   {
     support::MutexLock lock(mu_);
-    // Flip at a batch boundary: the dispatcher captures method_/replicas_
-    // under mu_ before releasing it to execute a group, so writing them
-    // while !executing_ under mu_ can never race an in-flight group — and
-    // every batch collected after the flip sees the new weights. Queued
+    // Flip at a batch boundary: (1) pause collection — one swap at a time —
+    // (2) wait for the batches in flight, (3) flip under mu_ and invalidate
+    // the cache, (4) resume. Workers capture method_/replicas_ under mu_
+    // when they collect, so no batch straddles the flip, and no old-weights
+    // batch is still running to insert into the cache after it. Queued
     // requests are untouched.
     ++blocked_callers_;
-    while (!shutdown_ && executing_) drained_cv_.Wait(lock);
+    while (!shutdown_ && swapping_) drained_cv_.Wait(lock);
+    if (!shutdown_) {
+      swapping_ = true;
+      while (!shutdown_ && !inflight_.empty()) drained_cv_.Wait(lock);
+    }
     --blocked_callers_;
     idle_cv_.NotifyAll();
     if (shutdown_) {
+      // No worker collects after shutdown, so the pause needs no undoing.
       throw EngineStoppedError("SwapWeights on a stopped InferenceEngine");
     }
     retired_method = std::move(owned_method_);
@@ -365,73 +430,104 @@ void InferenceEngine::SwapWeights(const core::Method& source) {
     method_ = standby.get();
     owned_method_ = std::move(standby);
     replicas_ = std::move(standby_pool);
-    if (encode_cache_ != nullptr) {
-      // Atomic with the flip: we hold mu_ and no group is executing, so no
-      // lookup can observe an old-weights entry after the new method serves.
-      encode_cache_->Invalidate();
-    }
+    if (encode_cache_ != nullptr) encode_cache_->Invalidate();
     ++stats_.weight_swaps;
+    swapping_ = false;
   }
+  // Resume: work may have queued up during the pause.
+  work_cv_.NotifyAll();
+  head_cv_.NotifyAll();
+  drained_cv_.NotifyAll();
   // The retired method and pool are destroyed here, outside the lock.
 }
 
-uint64_t InferenceEngine::ContiguousRunLocked() const {
-  const uint64_t first_slot =
-      next_batch_ * static_cast<uint64_t>(options_.batch_size);
-  uint64_t run = 0;
-  for (auto it = pending_.lower_bound(first_slot);
-       it != pending_.end() && it->first == first_slot + run; ++it) {
-    ++run;
+InferenceEngine::Take InferenceEngine::NextTakeLocked(Clock::time_point now,
+                                                      Clock::time_point* head_deadline) const {
+  if (shutdown_ || swapping_) return Take::kNone;
+  const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
+  const uint64_t first_slot = next_batch_ * batch_size;
+  const uint64_t run = run_end_ - first_slot;
+  if (run >= batch_size) return Take::kFull;
+  if (run == 0) return Take::kNone;
+  if (drain_until_slot_ > first_slot) return Take::kDrain;
+  if (options_.max_batch_delay_ms > 0) {
+    // The deadline measures the age of the request at the head of the queue
+    // (the first slot of the run — for an out-of-order stream, the arrival
+    // that unblocked the head).
+    const Clock::time_point deadline =
+        pending_.begin()->second.enqueue_time +
+        std::chrono::milliseconds(options_.max_batch_delay_ms);
+    if (now >= deadline) return Take::kDelay;
+    *head_deadline = deadline;
   }
-  return run;
+  return Take::kNone;
 }
 
-std::vector<InferenceEngine::ReadyBatch> InferenceEngine::CollectGroupLocked(
-    bool include_partial_tail) {
+support::CondVar* InferenceEngine::TakeWakeLocked() {
+  if (idle_workers_ > 0) return &work_cv_;
+  // Every other worker is busy: the head watcher takes the work instead of
+  // sleeping out its deadline.
+  return head_watcher_ ? &head_cv_ : nullptr;
+}
+
+support::CondVar* InferenceEngine::HeadWatchWakeLocked(Clock::time_point head_deadline) {
+  if (head_watcher_) {
+    // Re-arm only when the new head expires before what is being watched.
+    return head_deadline < head_watch_until_ ? &head_cv_ : nullptr;
+  }
+  return idle_workers_ > 0 ? &work_cv_ : nullptr;
+}
+
+void InferenceEngine::WaitForWorkLocked(support::MutexLock* lock,
+                                        Clock::time_point head_deadline) {
+  if (head_deadline != Clock::time_point::max() && !head_watcher_) {
+    head_watcher_ = true;
+    head_watch_until_ = head_deadline;
+    head_cv_.WaitUntil(*lock, head_deadline);
+    head_watcher_ = false;
+  } else {
+    ++idle_workers_;
+    work_cv_.Wait(*lock);
+    --idle_workers_;
+  }
+}
+
+InferenceEngine::ReadyBatch InferenceEngine::CollectBatchLocked() {
   const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
-  const uint64_t run = ContiguousRunLocked();
-  const uint64_t ready_full = run / batch_size;
-  const uint64_t tail_rows = include_partial_tail ? run % batch_size : 0;
-  const uint64_t total = ready_full + (tail_rows > 0 ? 1 : 0);
+  uint64_t slot = next_batch_ * batch_size;
+  const uint64_t rows = std::min(run_end_ - slot, batch_size);
   const Clock::time_point now = Clock::now();
 
-  std::vector<ReadyBatch> group;
-  group.reserve(total);
-  uint64_t slot = next_batch_ * batch_size;
-  for (uint64_t b = 0; b < total; ++b) {
-    const uint64_t rows = b < ready_full ? batch_size : tail_rows;
-    ReadyBatch rb;
-    rb.index = next_batch_;
-    rb.scenes.reserve(rows);
-    rb.promises.reserve(rows);
-    rb.expired.reserve(rows);
-    for (uint64_t r = 0; r < rows; ++r, ++slot) {
-      auto it = pending_.find(slot);
-      PendingRequest& req = it->second;
-      rb.scenes.push_back(std::move(req.scene));
-      rb.promises.push_back(std::move(req.promise));
-      rb.expired.push_back(req.expired ? 1 : 0);
-      if (!req.expired) {
-        ++rb.live_rows;
-        stats_.queue_wait.Record(Seconds(req.enqueue_time, now));
-        if (req.has_deadline) --armed_deadlines_;
-      }
-      pending_.erase(it);
+  ReadyBatch rb;
+  rb.index = next_batch_;
+  rb.scenes.reserve(rows);
+  rb.promises.reserve(rows);
+  rb.expired.reserve(rows);
+  for (uint64_t r = 0; r < rows; ++r, ++slot) {
+    auto it = pending_.find(slot);
+    PendingRequest& req = it->second;
+    rb.scenes.push_back(std::move(req.scene));
+    rb.promises.push_back(std::move(req.promise));
+    rb.expired.push_back(req.expired ? 1 : 0);
+    if (!req.expired) {
+      ++rb.live_rows;
+      stats_.queue_wait.Record(Seconds(req.enqueue_time, now));
+      if (req.has_deadline) --armed_deadlines_;
     }
-    group.push_back(std::move(rb));
-    ++next_batch_;
+    pending_.erase(it);
   }
+  ++next_batch_;
   // A padded tail consumes its whole batch of the slot space: implicit
   // submissions after a flush continue at the next batch boundary.
-  next_auto_id_ = std::max(next_auto_id_, next_batch_ * batch_size);
+  const uint64_t boundary = next_batch_ * batch_size;
+  next_auto_id_ = std::max(next_auto_id_, boundary);
+  if (rows == batch_size) return rb;  // run_end_ still bounds the run
   // A deadline flush can pad past a slot hole in an out-of-order stream,
   // retiring the batch of a request still pending BEHIND the hole. That
   // request can never execute in its assigned slot: reject it through its
   // future now, or it would hang forever (and, as pending_.begin(), anchor
   // every future deadline at its stale enqueue time). Only the deadline
-  // path can strand: Drain refuses holes up front, and a full-batch flush
-  // consumes nothing beyond the contiguous collected run.
-  const uint64_t boundary = next_batch_ * batch_size;
+  // path can strand: Drain refuses holes up front.
   while (!pending_.empty() && pending_.begin()->first < boundary) {
     auto it = pending_.begin();
     if (!it->second.expired) {
@@ -444,7 +540,9 @@ std::vector<InferenceEngine::ReadyBatch> InferenceEngine::CollectGroupLocked(
     }
     pending_.erase(it);
   }
-  return group;
+  run_end_ = boundary;
+  ExtendRunLocked();
+  return rb;
 }
 
 void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
@@ -509,12 +607,12 @@ Tensor InferenceEngine::PredictThroughCache(
   if (encode_cache_ == nullptr || batch.batch_size == 0) {
     return method->Predict(batch, rng, options_.sample);
   }
-  // Version of the served MASTER, not the per-batch replica: replicas are
+  // Version of the served MASTER, not the per-worker replica: replicas are
   // structural clones whose counter stays 0, while an in-place Train() on a
   // live served method — the staleness this guards against — bumps the
   // master's. Concurrent batches pass the same value; the first clears.
-  // `master` is the dispatcher's under-mu_ capture of method_, stable for
-  // the whole group (SwapWeights flips only at a batch boundary).
+  // `master` is the worker's under-mu_ capture of method_, stable for the
+  // whole batch (SwapWeights flips only while no batch is in flight).
   encode_cache_->InvalidateIfVersionChanged(master->weights_version());
 
   const int64_t width = method->predict_encode_width();
@@ -585,156 +683,104 @@ Tensor InferenceEngine::PredictThroughCache(
   return method->PredictDecode(batch, enc_rows, rng, options_.sample);
 }
 
-void InferenceEngine::ExecuteGroup(std::vector<ReadyBatch>* group,
-                                   const core::Method* master,
-                                   const ReplicaPool* replicas) const {
-  if (master->reentrant_predict()) {
-    // Reentrant Predict: every batch shares the master model; full
-    // cross-batch concurrency on the training-worker pool.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(group->size());
-    for (ReadyBatch& rb : *group) {
-      tasks.push_back([this, &rb, master] { RunOneBatch(&rb, master, master); });
-    }
-    parallel::RunTaskGroup(tasks);
-  } else if (replicas != nullptr && replicas->size() > 1) {
-    // Non-reentrant Predict with a replica pool: waves of consecutive batch
-    // indices. Batch b is pinned to replica b % R, so wave members never
-    // share an instance and the non-reentrant body never runs concurrently
-    // on one model.
-    const size_t width = static_cast<size_t>(replicas->size());
-    for (size_t base = 0; base < group->size(); base += width) {
-      const size_t end = std::min(group->size(), base + width);
-      std::vector<std::function<void()>> wave;
-      wave.reserve(end - base);
-      for (size_t i = base; i < end; ++i) {
-        ReadyBatch& rb = (*group)[i];
-        wave.push_back([this, &rb, master, replicas] {
-          RunOneBatch(&rb, replicas->MethodForBatch(rb.index), master);
-        });
-      }
-      parallel::RunTaskGroup(wave);
-    }
-  } else {
-    // Non-reentrant and not clonable (or replicas disabled): one at a time.
-    for (ReadyBatch& rb : *group) RunOneBatch(&rb, master, master);
-  }
-}
-
-void InferenceEngine::DispatcherLoop() {
-  const uint64_t batch_size = static_cast<uint64_t>(options_.batch_size);
-  const uint64_t max_buffered = static_cast<uint64_t>(
-      options_.max_buffered_batches > 0 ? options_.max_buffered_batches
-                                        : parallel::NumTrainWorkers());
-  const auto delay = std::chrono::milliseconds(options_.max_batch_delay_ms);
-
+void InferenceEngine::WorkerLoop(int worker) {
   support::MutexLock lock(mu_);
   while (!shutdown_) {
     // Expire BEFORE batch formation: a request whose deadline has passed
-    // must never enter a batch. (The watchdog covers the window where the
-    // dispatcher is blocked inside an execution group.)
-    ExpireOverdueLocked(Clock::now());
-    const uint64_t run = ContiguousRunLocked();
-    const bool drain_needed = drain_until_slot_ > next_batch_ * batch_size;
-    const bool full_ready = run / batch_size >= max_buffered;
-    bool deadline_due = false;
-    std::chrono::steady_clock::time_point deadline{};
-    if (options_.max_batch_delay_ms > 0 && run > 0) {
-      // The deadline measures the age of the request at the head of the
-      // queue (the first slot of the contiguous run — for an out-of-order
-      // stream, the arrival that unblocked the head).
-      deadline = pending_.begin()->second.enqueue_time + delay;
-      deadline_due = Clock::now() >= deadline;
-    }
-
-    if (!drain_needed && !full_ready && !deadline_due) {
-      if (options_.max_batch_delay_ms > 0 && run > 0) {
-        dispatch_cv_.WaitUntil(lock, deadline);
-      } else {
-        dispatch_cv_.Wait(lock);
-      }
+    // must never enter a batch. (The watchdog covers the windows where every
+    // worker is inside a batch.)
+    const Clock::time_point now = Clock::now();
+    ExpireOverdueLocked(now);
+    Clock::time_point head_deadline = Clock::time_point::max();
+    const Take take = NextTakeLocked(now, &head_deadline);
+    if (take == Take::kNone) {
+      WaitForWorkLocked(&lock, head_deadline);
       continue;  // re-evaluate everything after any wakeup
     }
 
-    // Every trigger implies at least one executable batch: full_ready means
-    // a whole batch is buffered, and drain/deadline imply a non-empty run
-    // whose tail is included below.
-    const bool include_tail = drain_needed || deadline_due;
-    std::vector<ReadyBatch> group = CollectGroupLocked(include_tail);
-    ADAPTRAJ_CHECK_MSG(!group.empty(),
-                       "dispatcher triggered with no executable batch (run="
-                           << run << ", next_batch=" << next_batch_ << ")");
-    executing_ = true;
-    exec_start_ = Clock::now();
-    stuck_reported_ = false;
-    stats_.inflight_batches = static_cast<int64_t>(group.size());
-    const int64_t deadline_hits = (deadline_due && !drain_needed) ? 1 : 0;
+    ReadyBatch rb = CollectBatchLocked();
+    inflight_.emplace(rb.index, InFlightBatch{Clock::now(), false});
+    stats_.inflight_batches = static_cast<int64_t>(inflight_.size());
     // Capture the served instance while still under mu_: SwapWeights flips
-    // method_/replicas_ only while !executing_, so these stay valid for the
-    // whole group, and the execution path below never reads the guarded
-    // fields unlocked.
+    // method_/replicas_ only while no batch is in flight, so these stay
+    // valid for the whole batch, and the execution path below never reads
+    // the guarded fields unlocked. Worker w always runs on replica slot w.
     const core::Method* master = method_;
-    const ReplicaPool* replicas = replicas_.get();
-    // Collection retired queue entries: admit blocked producers, and arm the
-    // watchdog's stuck-batch timer.
-    space_cv_.NotifyAll();
-    watchdog_cv_.NotifyAll();
+    const core::Method* instance =
+        replicas_ != nullptr ? replicas_->method(worker) : master;
+    // Hand the rest of the queue on: one more idle worker if work remains,
+    // or a watcher for the new head's delay deadline.
+    Clock::time_point next_deadline = Clock::time_point::max();
+    support::CondVar* wake = nullptr;
+    if (NextTakeLocked(now, &next_deadline) != Take::kNone) {
+      wake = TakeWakeLocked();
+    } else if (next_deadline != Clock::time_point::max()) {
+      wake = HeadWatchWakeLocked(next_deadline);
+    }
     lock.Unlock();
-    ExecuteGroup(&group, master, replicas);
+    if (wake != nullptr) wake->NotifyOne();
+    // Collection retired queue entries: admit blocked producers, and arm
+    // the watchdog's stuck-batch timer.
+    if (options_.max_queued_requests > 0) space_cv_.NotifyAll();
+    if (options_.stuck_batch_warn_ms > 0) watchdog_cv_.NotifyOne();
+    RunOneBatch(&rb, instance, master);
     lock.Lock();
     // Count first, fulfil second, both under mu_: a caller that wakes on a
     // ready future (or returns from Drain) observes counters that already
-    // include its batch. Fully-expired batches retired without executing
-    // count nowhere — their promises were already failed by the deadline.
-    stats_.deadline_flushes += deadline_hits;
-    for (const ReadyBatch& rb : group) {
-      if (rb.live_rows == 0) continue;
+    // include its batch. A fully-expired batch retired without executing
+    // counts nowhere — its promises were already failed by the deadline.
+    if (rb.live_rows > 0) {
       ++stats_.batches;
+      if (take == Take::kDelay) ++stats_.deadline_flushes;
       stats_.batch_exec.Record(rb.exec_seconds);
       if (rb.error != nullptr) {
         ++stats_.failed_batches;
       } else {
-        stats_.padded_rows +=
-            options_.batch_size - static_cast<int64_t>(rb.live_rows);
+        stats_.padded_rows += options_.batch_size - static_cast<int64_t>(rb.live_rows);
       }
     }
-    // Fulfil promises in slot order; RunTaskGroup's completion barrier
-    // published the task writes. A failed batch delivers its exception to
-    // exactly its own live futures — later batches are unaffected, and
-    // expired tombstone rows already carry DeadlineExceededError.
-    for (ReadyBatch& rb : group) {
-      for (size_t r = 0; r < rb.promises.size(); ++r) {
-        if (rb.expired[r]) continue;
-        if (rb.error != nullptr) {
-          rb.promises[r].set_exception(rb.error);
-        } else {
-          rb.promises[r].set_value(std::move(rb.results[r]));
-        }
+    // A failed batch delivers its exception to exactly its own live futures
+    // — other batches are unaffected, and expired tombstone rows already
+    // carry DeadlineExceededError.
+    for (size_t r = 0; r < rb.promises.size(); ++r) {
+      if (rb.expired[r]) continue;
+      if (rb.error != nullptr) {
+        rb.promises[r].set_exception(rb.error);
+      } else {
+        rb.promises[r].set_value(std::move(rb.results[r]));
       }
     }
-    executing_ = false;
-    stats_.inflight_batches = 0;
+    inflight_.erase(rb.index);
+    stats_.inflight_batches = static_cast<int64_t>(inflight_.size());
     drained_cv_.NotifyAll();
   }
 }
 
 void InferenceEngine::WatchdogLoop() {
   const auto warn = std::chrono::milliseconds(options_.stuck_batch_warn_ms);
+  const bool detect_stuck = options_.stuck_batch_warn_ms > 0;
   support::MutexLock lock(mu_);
   while (!shutdown_) {
     const Clock::time_point now = Clock::now();
-    // Deadline expiry must make progress even while the dispatcher is
-    // blocked inside ExecuteGroup — queued requests behind a wedged batch
-    // are exactly the ones that need their deadline honored.
+    // Deadline expiry must make progress even while every worker is inside
+    // a batch — queued requests behind a wedged batch are exactly the ones
+    // that need their deadline honored.
     ExpireOverdueLocked(now);
-    if (executing_ && options_.stuck_batch_warn_ms > 0 && !stuck_reported_ &&
-        now >= exec_start_ + warn) {
-      stuck_reported_ = true;
+    Clock::time_point wake = NextRequestDeadlineLocked();
+    bool reported = false;
+    for (auto& entry : inflight_) {
+      if (!detect_stuck || entry.second.stuck_reported) continue;
+      if (now < entry.second.start + warn) {
+        wake = std::min(wake, entry.second.start + warn);
+        continue;
+      }
+      entry.second.stuck_reported = true;
       ++stats_.stuck_batches;
-      const int64_t elapsed_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - exec_start_)
-              .count();
+      reported = true;
       if (options_.on_stuck_batch) {
+        const int64_t elapsed_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(now - entry.second.start)
+                .count();
         // Mutex released around user code: the callback may call stats(),
         // Submit, or anything else on this engine.
         auto callback = options_.on_stuck_batch;
@@ -742,12 +788,9 @@ void InferenceEngine::WatchdogLoop() {
         callback(elapsed_ms);
         lock.Lock();
       }
-      continue;  // re-evaluate: the group may have finished meanwhile
+      break;  // inflight_ may have changed while unlocked: rescan
     }
-    Clock::time_point wake = NextRequestDeadlineLocked();
-    if (executing_ && options_.stuck_batch_warn_ms > 0 && !stuck_reported_) {
-      wake = std::min(wake, exec_start_ + warn);
-    }
+    if (reported) continue;
     if (wake == Clock::time_point::max()) {
       watchdog_cv_.Wait(lock);
     } else {

@@ -5,48 +5,66 @@
 // A serving deployment receives one scene per request from many connection
 // threads, but the backbones are far more efficient on coalesced batches
 // (one graph, batched GEMMs). The engine accepts per-scene requests from any
-// number of producer threads, coalesces them into fixed-size batches on a
-// persistent dispatcher thread, runs the owned Method's Predict (forward-only
-// under NoGradGuard) on the training-worker pool, and delivers each request's
-// prediction — or the exception that prevented it — through a future.
+// number of producer threads, coalesces them into fixed-size batches, runs
+// the owned Method's Predict (forward-only under NoGradGuard) on a set of
+// engine-owned serving workers, and delivers each request's prediction — or
+// the exception that prevented it — through a future.
 //
 // Threading model:
 //   - Submit is thread-safe and NON-BLOCKING with respect to execution: it
-//     enqueues the request under the engine mutex, wakes the dispatcher, and
-//     returns the future. It never tensorizes, never runs Predict, and never
-//     waits for a batch on the caller thread. (With max_queued_requests set
-//     and OverflowPolicy::kBlock, Submit may block on QUEUE SPACE — that is
+//     enqueues the request under the engine mutex and returns the future. It
+//     never tensorizes, never runs Predict, and never waits for a batch on
+//     the caller thread. It wakes a worker only when the submission gives a
+//     worker something to do: it completes a batch (for an out-of-order
+//     explicit id, by filling the hole that held a batch back), or — with
+//     max_batch_delay_ms set — it becomes the head of an empty queue and so
+//     starts the delay deadline. (With max_queued_requests set and
+//     OverflowPolicy::kBlock, Submit may block on QUEUE SPACE — that is
 //     backpressure by configuration, never a wait on model execution beyond
-//     the dispatcher retiring queue entries.)
-//   - One persistent DISPATCHER thread owns batch formation and execution.
-//     It sleeps on a condition variable until (a) at least
-//     `max_buffered_batches` full batches are ready, (b) a Drain is
-//     outstanding, (c) `max_batch_delay_ms` expired on the request at the
-//     head of the queue, or (d) a queued request's deadline needs expiring —
-//     then it expires overdue requests, collects the ready prefix (decided
-//     under the mutex), releases the mutex, and executes the batches as task
-//     groups on the training-worker pool (parallel::RunTaskGroup). The
-//     dispatcher is the only thread that calls RunTaskGroup on the serving
-//     path, so the worker x kernel-thread budget of tensor/parallel.h is
-//     never multiplied by producer count.
-//   - One persistent WATCHDOG thread covers the windows the dispatcher
-//     cannot: it expires queued deadlines while the dispatcher is blocked
-//     inside an execution group, and it detects an in-flight group that has
-//     exceeded `stuck_batch_warn_ms` (counted in stats().stuck_batches and
-//     reported once per group through the optional on_stuck_batch callback,
-//     invoked with the engine mutex released). Detection never cancels the
-//     group — kernels are not interruptible — it gives the layer above the
-//     signal to shed, reroute, or alert while the batch is wedged.
-//   - Drain is thread-safe, blocks the caller until every request submitted
-//     before the call has its future ready, and pads the final underfull
-//     batch. Concurrent IMPLICIT-id producers may race a Drain freely;
-//     EXPLICIT-id producers must be quiesced first (see Drain). A Drain
-//     interrupted by Shutdown()/destruction throws EngineStoppedError.
+//     the workers retiring queue entries.)
+//   - W persistent SERVING WORKERS own batch formation and execution. A
+//     worker takes exactly one batch — the next one in slot order — when it
+//     is full, when a Drain covers it, or when max_batch_delay_ms expired on
+//     its head request (the latter two pad an underfull tail). It expires
+//     overdue requests first, collects the batch under the mutex, releases
+//     the mutex, runs the batch, and fulfils that batch's promises; it never
+//     waits for any other batch, so batches may complete out of order. W is
+//     derived from the
+//     method, never configured: parallel::NumTrainWorkers() for reentrant
+//     methods (they share the master), the replica-pool size for
+//     non-reentrant ones (worker w owns replica slot w for the engine's
+//     lifetime), and 1 when there is no pool. With W > 1 every worker runs
+//     its kernels inline (parallel::InlineKernelsScope), so W workers never
+//     multiply with the kernel pool; with W == 1 the one worker's kernels
+//     fan out across the kernel pool as usual. Producer count never changes
+//     W.
+//   - Idle workers wait on a condition variable. At most one of them — the
+//     head watcher — waits with a timeout, on the head batch's delay
+//     deadline; the others wait without one, so an expiring deadline wakes
+//     one worker, not W. A worker that collects a batch wakes one more
+//     worker when work remains, so a burst of full batches fans out without
+//     a wake-up per Submit.
+//   - One persistent WATCHDOG thread covers the windows the workers cannot:
+//     it expires queued deadlines while every worker is inside a batch, and
+//     it detects each in-flight batch that has exceeded
+//     `stuck_batch_warn_ms` (counted in stats().stuck_batches and reported
+//     once per batch through the optional on_stuck_batch callback, invoked
+//     with the engine mutex released). Detection never cancels the batch —
+//     kernels are not interruptible — it gives the layer above the signal to
+//     shed, reroute, or alert while the batch is wedged.
+//   - Drain is thread-safe, pads the underfull tail, and blocks the caller
+//     until every batch that holds a slot submitted before the call has
+//     completed — including batches already executing when it was called —
+//     and therefore every such request has its future ready. It waits for
+//     nothing submitted after the call, so it returns under sustained load.
+//     Concurrent IMPLICIT-id producers may race a Drain freely; EXPLICIT-id
+//     producers must be quiesced first (see Drain). A Drain interrupted by
+//     Shutdown()/destruction throws EngineStoppedError.
 //
 // Lifecycle: Shutdown() (idempotent, also run by the destructor) stops
 // admission, fails every QUEUED request's future with EngineStoppedError,
 // wakes blocked submitters and drainers (which throw EngineStoppedError),
-// and stops the dispatcher after the in-flight group (if any) completes —
+// and stops each worker once its in-flight batch (if any) has delivered —
 // in-flight requests still deliver results. Submit after shutdown returns an
 // already-failed future (EngineStoppedError) instead of aborting. No future
 // ever observes std::future_error (broken_promise). The destructor waits for
@@ -68,15 +86,18 @@
 //     began executing always runs to completion, deadline notwithstanding.
 //   - EngineStoppedError: shutdown/destruction reached the request first
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
-//   - ServeError: an explicit id that lost the race against a deadline
-//     flush, or was stranded behind a slot hole the flush padded past.
+//   - ServeError: a malformed submission — a negative timeout_ms, an
+//     explicit id that is already pending, or one whose batch already
+//     executed (with max_batch_delay_ms set, typically an id that lost the
+//     race against a deadline flush) — or an explicit id stranded behind a
+//     slot hole a deadline flush padded past. Counted in rejected_requests.
 //   - Application errors: Predict / MakeBatch / allocation failures inside a
 //     batch are caught and delivered VERBATIM to exactly that batch's
 //     futures — future.get() rethrows the original exception, the failed
 //     batch is retired (slots consumed), and the engine keeps serving later
 //     batches. The engine never wraps application errors.
-// The library itself still reports programming errors (malformed ids,
-// invalid options) via ADAPTRAJ_CHECK, which aborts.
+// The library itself still reports programming errors (invalid engine
+// options, a Drain over a slot hole) via ADAPTRAJ_CHECK, which aborts.
 //
 // Admission control: `max_queued_requests` bounds the pending queue (0 =
 // unbounded, the legacy behaviour). On overflow, OverflowPolicy::kShed fails
@@ -84,7 +105,7 @@
 // holds memory at the bound and sheds the excess, with every submission
 // accounted: requests == fulfilled + shed + expired + rejected + rows of
 // failed batches (see InferenceEngineStats). kBlock instead parks the
-// submitter until the dispatcher retires queue entries (classic
+// submitter until a worker retires queue entries (classic
 // backpressure; prefer implicit ids or an enabled deadline flush with
 // kBlock — a blocked explicit-id producer whose own ids are needed to
 // complete the head batch would otherwise wait on itself).
@@ -100,9 +121,12 @@
 // Hot-swap: SwapWeights(source) builds a warm standby — a CloneForServing
 // copy of `source` (and, for non-reentrant methods, a standby ReplicaPool
 // cloned from it) — entirely OUTSIDE the engine lock, then flips the engine
-// to it at a batch boundary: the swap waits until no group is executing, so
-// every batch (and therefore every request) is served entirely by the old
-// weights or entirely by the new ones, bit-exactly — never a mix. Queued
+// to it at a batch boundary: the swap pauses collection, waits for the (at
+// most W) batches in flight, flips the method and replicas and invalidates
+// the encoder cache, then resumes collection. Every batch (and therefore
+// every request) is served entirely by the old weights or entirely by the
+// new ones, bit-exactly — never a mix — and no old-weights batch can insert
+// into the cache after the flip. Queued
 // requests are never dropped by a swap; they simply execute on whichever
 // side of the flip their batch lands. The old method and pool are released
 // after the flip (also outside the lock). Counted in stats().weight_swaps.
@@ -124,22 +148,22 @@
 //     composition exactly as in the PR-4 engine. With the deadline disabled
 //     (the default), flush points are the Drain calls alone and results are
 //     byte-identical to the synchronous engine for any producer count,
-//     worker count, and dispatch cadence at a fixed seed (asserted by
-//     tests/serve/). A deadline expiry removes only the EXPIRED request's
+//     worker count, arrival order, and execution order at a fixed seed
+//     (asserted by tests/serve/). A deadline expiry removes only the EXPIRED request's
 //     row content (its slot pads like a missing tail row); surviving rows'
 //     bytes are unchanged — each row's result depends only on its own scene,
 //     its row index, and its batch's noise stream, the same property padding
 //     has always relied on.
-//   - Reentrant methods execute ready batches concurrently on the shared
-//     master model. Non-reentrant methods (LBEBM: the Langevin sampler
-//     writes its model's gradient buffers) execute on a serve::ReplicaPool
-//     of private model copies, batch b pinned to replica b % R, in waves
-//     whose members never share a replica — concurrency without the data
-//     race, bit-identical to serialized execution because the replicas hold
+//   - Reentrant methods execute batches concurrently on the shared master
+//     model. Non-reentrant methods (LBEBM: the Langevin sampler writes its
+//     model's gradient buffers) execute on a serve::ReplicaPool of private
+//     model copies, worker w always on replica slot w, so one instance never
+//     runs two batches at once — concurrency without the data race,
+//     bit-identical to serialized execution because the replicas hold
 //     byte-identical parameters and every kernel is bit-deterministic for
 //     any thread count (see tensor/parallel.h). If the method cannot be
 //     cloned (Method::CloneForServing returns nullptr) or the pool is capped
-//     at one slot, batches run one at a time as before.
+//     at one slot, the engine has one worker and batches run one at a time.
 //
 // Encoder caching: when the served method supports the encode/decode split
 // (core::Method::predict_encode_width() > 0) and the cache is enabled
@@ -174,6 +198,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,33 +233,30 @@ struct InferenceEngineOptions {
   uint64_t seed = 0;
   /// Window configuration used to tensorize submitted scenes.
   data::SequenceConfig sequence;
-  /// Full batches buffered before the dispatcher executes a group; more
-  /// batching per RunTaskGroup call amortizes pool handoff. 0 = the
-  /// training-worker count (parallel::NumTrainWorkers()).
-  int max_buffered_batches = 0;
-  /// Deadline flush: when > 0, the dispatcher executes the pending
-  /// contiguous prefix — padding an underfull tail — once the request at the
-  /// head of the queue has waited this long, so a lone request is served
-  /// without a Drain. 0 (default) disables the deadline; partial batches
-  /// then wait for Drain, which keeps batch composition independent of
-  /// timing (the determinism-test configuration).
+  /// Deadline flush: when > 0, a worker executes the head batch — padding
+  /// it if underfull — once the request at the head of the queue has waited
+  /// this long, so a lone request is served without a Drain. 0 (default)
+  /// disables the deadline; partial batches then wait for Drain, which
+  /// keeps batch composition independent of timing (the determinism-test
+  /// configuration).
   int max_batch_delay_ms = 0;
-  /// Replica slots for non-reentrant methods (see serve::ReplicaPool).
-  /// 0 = auto: the training-worker count. 1 = no copies, serialize batches.
-  /// Ignored for reentrant methods, which share the master safely.
+  /// Replica slots for non-reentrant methods (see serve::ReplicaPool), and
+  /// so their serving-worker count. 0 = auto: the training-worker count.
+  /// 1 = no copies, one worker. Ignored for reentrant methods, which share
+  /// the master safely.
   int num_replicas = 0;
   /// Admission bound on the pending-request queue. 0 (default) = unbounded.
   /// On overflow, `overflow_policy` decides between shedding and blocking.
   int max_queued_requests = 0;
   /// Applied when a Submit finds the queue at max_queued_requests.
   OverflowPolicy overflow_policy = OverflowPolicy::kShed;
-  /// Watchdog threshold: when > 0 and an execution group has been in flight
-  /// this long, stats().stuck_batches increments and `on_stuck_batch` fires
-  /// (once per group). 0 disables stuck detection; the watchdog thread then
-  /// only serves deadline expiry.
+  /// Watchdog threshold: when > 0 and a batch has been in flight this long,
+  /// stats().stuck_batches increments and `on_stuck_batch` fires (once per
+  /// batch). 0 disables stuck detection; the watchdog thread then only
+  /// serves deadline expiry.
   int stuck_batch_warn_ms = 0;
-  /// Called by the watchdog (mutex released) when a group trips
-  /// stuck_batch_warn_ms, with the group's elapsed milliseconds. Use it for
+  /// Called by the watchdog (mutex released) when a batch trips
+  /// stuck_batch_warn_ms, with the batch's elapsed milliseconds. Use it for
   /// graceful degradation above the engine: alert, reroute, pre-shed.
   std::function<void(int64_t elapsed_ms)> on_stuck_batch;
   /// Cross-request encoder cache (see the file comment): kAuto follows the
@@ -251,7 +273,8 @@ struct SubmitOptions {
   /// Deadline for QUEUED time: if the request has not been collected into a
   /// batch within this budget, it fails with DeadlineExceededError and its
   /// slot pads away. 0 = no deadline. A request that entered execution is
-  /// never expired.
+  /// never expired. A negative value is rejected through the future
+  /// (ServeError).
   int timeout_ms = 0;
 };
 
@@ -267,9 +290,10 @@ struct InferenceEngineStats {
   int64_t padded_rows = 0;       // rows computed for padding and discarded
   int64_t failed_batches = 0;    // batches whose futures carry an exception
   int64_t deadline_flushes = 0;  // flushes triggered by max_batch_delay_ms
-  /// Requests refused without enqueueing: explicit ids that lost the race
-  /// against a deadline flush, ids stranded behind a padded-past slot hole,
-  /// and Submits after shutdown.
+  /// Requests refused without executing: negative timeouts, duplicate
+  /// explicit ids, explicit ids whose batch already executed (or lost the
+  /// race against a deadline flush), ids stranded behind a padded-past slot
+  /// hole, and Submits after shutdown.
   int64_t rejected_requests = 0;
   /// Admission-control rejections (queue full, OverflowPolicy::kShed).
   int64_t shed_requests = 0;
@@ -277,11 +301,12 @@ struct InferenceEngineStats {
   int64_t expired_requests = 0;
   /// Queued requests failed by Shutdown()/destruction before execution.
   int64_t stopped_requests = 0;
-  /// Execution groups that exceeded stuck_batch_warn_ms (one per group).
+  /// Batches that exceeded stuck_batch_warn_ms (one count per batch).
   int64_t stuck_batches = 0;
   /// SwapWeights flips completed.
   int64_t weight_swaps = 0;
-  /// Gauge: batches in the currently executing group (0 when idle).
+  /// Gauge: batches executing right now, at most one per worker (0 when
+  /// idle).
   int64_t inflight_batches = 0;
   /// Watermark: largest pending-queue depth observed at enqueue.
   int64_t peak_queue_depth = 0;
@@ -315,9 +340,9 @@ class InferenceEngine {
                   const InferenceEngineOptions& options);
 
   /// Runs Shutdown(), waits for blocked Drain/Submit/SwapWeights callers to
-  /// leave, then joins the dispatcher and watchdog; does not drain. Queued
-  /// requests fail with EngineStoppedError; the in-flight group still
-  /// delivers. Call Drain() first for a graceful shutdown.
+  /// leave, then joins the workers and the watchdog; does not drain. Queued
+  /// requests fail with EngineStoppedError; batches in flight still
+  /// deliver. Call Drain() first for a graceful shutdown.
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -339,12 +364,13 @@ class InferenceEngine {
 
   /// Enqueues a scene at an explicit slot, for request streams that arrive
   /// out of order or from several producer threads. Slots must be unique and
-  /// must not precede an already executed batch (a checked error — except
-  /// with max_batch_delay_ms enabled, where a deadline flush can retire slot
-  /// space on a timer the producers cannot observe: an id that loses that
-  /// race is rejected through its future instead, as is an already-pending
-  /// id stranded behind a slot hole the deadline padded past). The engine
-  /// holds a batch until every one of its slots has arrived.
+  /// must not precede an already executed batch; an id that breaks either
+  /// rule is rejected through its future (ServeError), never by aborting.
+  /// With max_batch_delay_ms enabled a deadline flush can retire slot space
+  /// on a timer the producers cannot observe, so an id can lose that race,
+  /// and an already-pending id stranded behind a slot hole the deadline
+  /// padded past is rejected the same way. The engine holds a batch until
+  /// every one of its slots has arrived.
   std::future<Tensor> Submit(uint64_t request_id, const data::TrajectorySequence& scene)
       ADAPTRAJ_EXCLUDES(mu_);
   /// As above with per-request options (deadline).
@@ -353,8 +379,10 @@ class InferenceEngine {
       ADAPTRAJ_EXCLUDES(mu_);
 
   /// Flushes everything pending — including a padded partial tail — and
-  /// blocks until every request submitted before this call has its future
-  /// ready (fulfilled or failed). All slots up to the highest submitted one
+  /// blocks until every batch holding a slot submitted before this call has
+  /// completed, so every such request has its future ready (fulfilled or
+  /// failed). Batches formed from later submissions are not waited for, so
+  /// a Drain returns under sustained traffic. All slots up to the highest submitted one
   /// must be present (a gap in an out-of-order stream is a checked error),
   /// so quiesce explicit-id producers — join them, or otherwise ensure their
   /// slot ranges are complete — before calling Drain: a strided producer
@@ -368,8 +396,8 @@ class InferenceEngine {
 
   /// Stops the engine: admission closes (Submit returns EngineStoppedError
   /// futures), queued requests fail with EngineStoppedError, blocked
-  /// submitters and drainers wake (drainers throw), the dispatcher exits
-  /// after the in-flight group delivers its results. Idempotent;
+  /// submitters and drainers wake (drainers throw), and each worker exits
+  /// after its in-flight batch delivers its results. Idempotent;
   /// thread-safe; called by the destructor.
   void Shutdown() ADAPTRAJ_EXCLUDES(mu_);
 
@@ -379,10 +407,11 @@ class InferenceEngine {
   /// outside the engine lock; the flip happens at a batch boundary, so every
   /// request is served entirely by the old weights or entirely by the new
   /// ones and none is dropped. Blocks until the flip lands (bounded by the
-  /// in-flight group). `source` must be structurally compatible with the
+  /// batches in flight). `source` must be structurally compatible with the
   /// engine's options (typically: the same method type, trained further).
   /// Throws EngineStoppedError if the engine is (or becomes) shut down, and
-  /// ServeError if `source` cannot be cloned.
+  /// ServeError if `source` cannot be cloned (for a non-reentrant standby:
+  /// to one replica per worker).
   void SwapWeights(const core::Method& source) ADAPTRAJ_EXCLUDES(mu_);
 
   /// Coherent snapshot of the cumulative counters and histograms.
@@ -400,6 +429,8 @@ class InferenceEngine {
   /// 1 when batches are serialized. Reentrant methods report 1 (they share
   /// the master without a pool).
   int num_replica_slots() const ADAPTRAJ_EXCLUDES(mu_);
+  /// Serving workers W, fixed at construction (see the file comment).
+  int num_workers() const { return num_workers_; }
 
  private:
   struct PendingRequest {
@@ -427,21 +458,39 @@ class InferenceEngine {
     double exec_seconds = 0.0;    // filled by RunOneBatch when executed
   };
 
-  void DispatcherLoop() ADAPTRAJ_EXCLUDES(mu_);
+  /// A batch a worker is executing: when it started, and whether the
+  /// watchdog already counted it as stuck.
+  struct InFlightBatch {
+    std::chrono::steady_clock::time_point start;
+    bool stuck_reported = false;
+  };
+
+  /// Why a worker may take the head batch now (kNone: it may not).
+  enum class Take { kNone, kFull, kDrain, kDelay };
+
+  /// Body of serving worker `worker` (0 <= worker < num_workers_).
+  void WorkerLoop(int worker) ADAPTRAJ_EXCLUDES(mu_);
   void WatchdogLoop() ADAPTRAJ_EXCLUDES(mu_);
   /// Shared body of the four Submit overloads.
   std::future<Tensor> SubmitImpl(bool has_explicit_id, uint64_t request_id,
                                  const data::TrajectorySequence& scene,
                                  const SubmitOptions& submit_options)
       ADAPTRAJ_EXCLUDES(mu_);
-  /// Validates the slot, records the request, and returns its future.
+  /// Validates the slot, records the request, and returns its future. Sets
+  /// `*wake` to the condition variable to notify once mu_ is released when
+  /// the submission completes a batch or becomes the delay-watched head;
+  /// leaves it untouched otherwise.
   std::future<Tensor> SubmitLocked(uint64_t request_id,
                                    const data::TrajectorySequence& scene,
-                                   const SubmitOptions& submit_options)
+                                   const SubmitOptions& submit_options,
+                                   support::CondVar** wake)
       ADAPTRAJ_REQUIRES(mu_);
   /// Builds an already-failed future carrying `error`; bumping
   /// rejected/shed accounting is the caller's job.
   static std::future<Tensor> FailedFuture(std::exception_ptr error);
+  /// Counts a rejected submission and returns its ServeError future.
+  std::future<Tensor> RejectLocked(const std::string& message)
+      ADAPTRAJ_REQUIRES(mu_);
   /// Fails every queued request whose deadline has passed
   /// (DeadlineExceededError), leaving slot tombstones.
   void ExpireOverdueLocked(std::chrono::steady_clock::time_point now)
@@ -449,23 +498,33 @@ class InferenceEngine {
   /// Earliest pending per-request deadline, or time_point::max().
   std::chrono::steady_clock::time_point NextRequestDeadlineLocked() const
       ADAPTRAJ_REQUIRES(mu_);
-  /// Length of the contiguous pending-slot run starting at the next
-  /// unexecuted batch boundary.
-  uint64_t ContiguousRunLocked() const ADAPTRAJ_REQUIRES(mu_);
-  /// Moves the ready prefix (full batches; with `include_partial_tail` also
-  /// the underfull tail) out of the pending map, records queue-wait
-  /// samples, and advances the slot cursors.
-  std::vector<ReadyBatch> CollectGroupLocked(bool include_partial_tail)
+  /// Advances run_end_ over the pending slots that continue the run.
+  void ExtendRunLocked() ADAPTRAJ_REQUIRES(mu_);
+  /// True once every batch with index < `batch` has been collected and has
+  /// finished executing.
+  bool CompletedBelowLocked(uint64_t batch) const ADAPTRAJ_REQUIRES(mu_);
+  /// Whether a worker may take the head batch at `now`. When it may not but
+  /// the head's delay deadline is pending, stores it in `*head_deadline`.
+  Take NextTakeLocked(std::chrono::steady_clock::time_point now,
+                      std::chrono::steady_clock::time_point* head_deadline) const
       ADAPTRAJ_REQUIRES(mu_);
-  /// Executes a collected group on the worker pool, filling each batch's
-  /// results or error. Runs on the dispatcher with mu_ released; the
-  /// dispatcher then updates stats and fulfills the promises under mu_.
-  /// `master`/`replicas` are the served instance captured under mu_ at the
-  /// batch boundary — passing them (rather than re-reading method_ /
-  /// replicas_ unlocked) makes the SwapWeights flip protocol visible to the
-  /// thread-safety analysis instead of relying on it implicitly.
-  void ExecuteGroup(std::vector<ReadyBatch>* group, const core::Method* master,
-                    const ReplicaPool* replicas) const;
+  /// The condition variable to notify so an idle worker takes newly
+  /// takeable work (null when every worker is busy).
+  support::CondVar* TakeWakeLocked() ADAPTRAJ_REQUIRES(mu_);
+  /// The condition variable to notify so the head batch's delay deadline
+  /// `head_deadline` is watched (null when it already is, or every worker
+  /// is busy).
+  support::CondVar* HeadWatchWakeLocked(
+      std::chrono::steady_clock::time_point head_deadline) ADAPTRAJ_REQUIRES(mu_);
+  /// Parks an idle worker: as the head watcher until `head_deadline` when
+  /// there is one to watch and nobody watches it yet, otherwise untimed.
+  void WaitForWorkLocked(support::MutexLock* lock,
+                         std::chrono::steady_clock::time_point head_deadline)
+      ADAPTRAJ_REQUIRES(mu_);
+  /// Moves the head batch (up to batch_size contiguous slots from the next
+  /// batch boundary) out of the pending map, records queue-wait samples,
+  /// advances the slot cursors, and rejects ids a padded tail stranded.
+  ReadyBatch CollectBatchLocked() ADAPTRAJ_REQUIRES(mu_);
   /// `master` is the served master (for weights_version); `method` the
   /// instance this batch runs on (a replica, or the master itself).
   void RunOneBatch(ReadyBatch* rb, const core::Method* method,
@@ -479,13 +538,14 @@ class InferenceEngine {
                              const std::vector<const data::TrajectorySequence*>& slots,
                              const core::Method* method, const core::Method* master,
                              Rng* rng) const;
-  /// Builds the replica pool an engine over `method` needs (null when the
-  /// method is reentrant or pooling is disabled/impossible).
-  std::unique_ptr<ReplicaPool> MakeReplicaPool(const core::Method* method) const;
+  /// Builds the `slots`-slot replica pool an engine over `method` needs
+  /// (null when the method is reentrant or slots <= 1).
+  static std::unique_ptr<ReplicaPool> MakeReplicaPool(const core::Method* method,
+                                                      int slots);
 
   /// The served master. Flipped by SwapWeights under mu_ at a batch
-  /// boundary; the execution path reads a copy captured under mu_ (see
-  /// ExecuteGroup), never this field directly.
+  /// boundary; a worker captures it (and its replica) under mu_ when it
+  /// collects a batch and never reads this field unlocked.
   const core::Method* method_ ADAPTRAJ_GUARDED_BY(mu_);
   std::unique_ptr<core::Method> owned_method_ ADAPTRAJ_GUARDED_BY(mu_);
   InferenceEngineOptions options_;
@@ -500,11 +560,17 @@ class InferenceEngine {
   /// batches. Survives SwapWeights (invalidated at the flip).
   std::unique_ptr<EncodeCache> encode_cache_;
 
+  /// Serving workers W (see the file comment). Set once in the constructor
+  /// before any service thread starts, read-only afterwards.
+  int num_workers_ = 1;
+
   mutable support::Mutex mu_;
-  /// Wakes the dispatcher (new work, drain, shutdown).
-  support::CondVar dispatch_cv_;
-  /// Wakes Drain waiters and SwapWeights (a group finished executing) —
-  /// and, on shutdown, anyone parked on it.
+  /// Idle workers that are not the head watcher wait here.
+  support::CondVar work_cv_;
+  /// The head watcher waits here, until the head batch's delay deadline.
+  support::CondVar head_cv_;
+  /// Wakes Drain waiters and SwapWeights (a batch finished executing, or a
+  /// swap finished) — and, on shutdown, anyone parked on it.
   support::CondVar drained_cv_;
   /// Wakes the watchdog (new deadline, execution started, shutdown).
   support::CondVar watchdog_cv_;
@@ -524,18 +590,26 @@ class InferenceEngine {
   uint64_t next_auto_id_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
   /// First batch index that has not been collected for execution yet.
   uint64_t next_batch_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
-  /// Exclusive slot bound the dispatcher must flush through (max over
+  /// Exclusive end of the contiguous pending-slot run that starts at the
+  /// next batch boundary (next_batch_ * batch_size): every slot in between
+  /// is pending, this one is not. Maintained incrementally by SubmitLocked
+  /// and CollectBatchLocked, so no path rescans the queue.
+  uint64_t run_end_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
+  /// Exclusive slot bound the workers must flush through (max over
   /// outstanding Drain calls).
   uint64_t drain_until_slot_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
-  /// True while the dispatcher is executing a group outside the mutex.
-  bool executing_ ADAPTRAJ_GUARDED_BY(mu_) = false;
-  /// When the in-flight group started, and whether the watchdog already
-  /// counted it as stuck.
-  std::chrono::steady_clock::time_point exec_start_ ADAPTRAJ_GUARDED_BY(mu_){};
-  bool stuck_reported_ ADAPTRAJ_GUARDED_BY(mu_) = false;
+  /// Batches executing right now, keyed by batch index (at most W).
+  std::map<uint64_t, InFlightBatch> inflight_ ADAPTRAJ_GUARDED_BY(mu_);
+  /// Idle workers parked on work_cv_.
+  int idle_workers_ ADAPTRAJ_GUARDED_BY(mu_) = 0;
+  /// Whether an idle worker is parked on head_cv_, and until when.
+  bool head_watcher_ ADAPTRAJ_GUARDED_BY(mu_) = false;
+  std::chrono::steady_clock::time_point head_watch_until_ ADAPTRAJ_GUARDED_BY(mu_){};
+  /// True while a SwapWeights holds collection paused.
+  bool swapping_ ADAPTRAJ_GUARDED_BY(mu_) = false;
   bool shutdown_ ADAPTRAJ_GUARDED_BY(mu_) = false;
   InferenceEngineStats stats_ ADAPTRAJ_GUARDED_BY(mu_);
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
   std::thread watchdog_;
 };
 

@@ -11,24 +11,24 @@
 //     with core::Method::CloneForServing — same construction path as a
 //     training replica, then Module::CopyParametersFrom overwrites the fresh
 //     initialization with the master's weights.
-//   - Batch b is PINNED to slot b % size(). Pinning is part of the engine's
-//     determinism story only in the trivial sense: since every replica holds
+//   - The engine runs one serving worker per slot, and worker w always
+//     executes on slot w. Ownership is part of the engine's determinism
+//     story only in the trivial sense: since every replica holds
 //     byte-identical parameters and every kernel is bit-deterministic, which
-//     slot executes a batch cannot change its bytes. What pinning actually
-//     buys is a schedule where two batches in the same execution wave never
-//     share a slot (consecutive batch indices hit distinct residues), so a
-//     non-reentrant Predict never runs concurrently on one instance.
+//     slot executes a batch cannot change its bytes. What ownership actually
+//     buys is that a worker runs one batch at a time, so a non-reentrant
+//     Predict never runs concurrently on one instance.
 //   - Predict never changes parameter values (gradient buffers only), so
 //     replicas are copied once at pool construction and stay valid for the
 //     pool's lifetime; there is no per-batch broadcast.
 //
 // A method whose CloneForServing returns nullptr caps the pool at the master
-// alone (size() == 1) and the engine falls back to serialized execution.
+// alone (size() == 1); the engine then has one worker and runs one batch at
+// a time.
 
 #ifndef ADAPTRAJ_SERVE_REPLICA_POOL_H_
 #define ADAPTRAJ_SERVE_REPLICA_POOL_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,10 +42,10 @@ namespace serve {
 /// Thread-safety contract (no mutex, so nothing for the Clang thread-safety
 /// analysis to check — deliberately): `master_` and `clones_` are written
 /// only by the constructor and read-only afterwards, and every accessor is
-/// const. Concurrent MethodForBatch calls from a dispatcher wave are safe
-/// because they never mutate the pool; exclusive use of each REPLICA within
-/// a wave is the engine's pinning schedule (batch b -> slot b % size()),
-/// a protocol the analysis cannot express and TSan verifies instead.
+/// const. Concurrent method() calls from the serving workers are safe
+/// because they never mutate the pool; exclusive use of each REPLICA is the
+/// engine's ownership rule (worker w -> slot w, one batch at a time), a
+/// protocol the analysis cannot express and TSan verifies instead.
 class ReplicaPool {
  public:
   /// Builds up to `target_slots` slots (>= 1). Slot 0 aliases `master`
@@ -56,14 +56,8 @@ class ReplicaPool {
   /// Number of usable slots (1 when the method could not be cloned).
   int size() const { return static_cast<int>(1 + clones_.size()); }
 
-  /// The instance pinned to `slot` (0 = the master).
+  /// The instance at `slot` (0 = the master).
   const core::Method* method(int slot) const;
-
-  /// The instance batch `batch_index` must execute on: slot
-  /// batch_index % size().
-  const core::Method* MethodForBatch(uint64_t batch_index) const {
-    return method(static_cast<int>(batch_index % static_cast<uint64_t>(size())));
-  }
 
  private:
   const core::Method* master_;

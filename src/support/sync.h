@@ -52,7 +52,7 @@ class ADAPTRAJ_CAPABILITY("mutex") Mutex {
 
 /// RAII critical section over a Mutex (std::unique_lock inside, so CondVar
 /// can wait on it and long-running sections can Unlock()/Lock() around work
-/// that must not hold the mutex — e.g. the dispatcher's ExecuteGroup).
+/// that must not hold the mutex — e.g. a serving worker running its batch).
 class ADAPTRAJ_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ADAPTRAJ_ACQUIRE(mu) : lock_(mu.native()) {}

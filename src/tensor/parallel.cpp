@@ -53,9 +53,9 @@ class Pool {
       ++job_id_;
     }
     // Wake only as many workers as there are chunks beyond the caller's own
-    // share. The serving dispatcher flushes small task groups at a high
-    // cadence; notify_all would stampede every idle worker through the mutex
-    // for a 2-chunk job they mostly cannot help with. A worker that is busy
+    // share. Small jobs (2-chunk ranges, short task groups) are common;
+    // notify_all would stampede every idle worker through the mutex for a
+    // 2-chunk job they mostly cannot help with. A worker that is busy
     // (not waiting) when notified picks the job up anyway on its next
     // predicate check, so targeted wakeups never strand work — and chunk
     // RESULTS never depend on which thread claims them (see file comment).
@@ -225,12 +225,14 @@ void RunTaskGroup(const std::vector<std::function<void()>>& tasks) {
     // Tasks claimed by the calling thread must also run their kernels
     // inline, like the pool workers do, so the worker x kernel-thread
     // product stays bounded by the configured worker count.
-    const bool saved = g_in_worker;
-    g_in_worker = true;
+    InlineKernelsScope inline_kernels;
     tasks[static_cast<size_t>(i)]();
-    g_in_worker = saved;
   });
 }
+
+InlineKernelsScope::InlineKernelsScope() : saved_(g_in_worker) { g_in_worker = true; }
+
+InlineKernelsScope::~InlineKernelsScope() { g_in_worker = saved_; }
 
 void ParallelForSlow(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)>& body) {

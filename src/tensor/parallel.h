@@ -16,7 +16,9 @@
 // A second, independent pool drives scene-level data-parallel training (see
 // core/parallel_trainer.h): RunTaskGroup executes a fixed list of
 // coarse-grained tasks (one micro-batch forward+backward each) across
-// ADAPTRAJ_TRAIN_WORKERS threads.
+// ADAPTRAJ_TRAIN_WORKERS threads. The serving engine reads the same count
+// to size its own serving workers (serve/inference_engine.h) but does not
+// run on this pool.
 //
 // Worker x kernel-thread budget: the two knobs compose multiplicatively, so
 // the task-group layer keeps the product bounded. With
@@ -35,7 +37,9 @@
 // Related runtime switches (kernel layer, documented here with the thread
 // knob so all env configuration lives in one place):
 //   ADAPTRAJ_TRAIN_WORKERS  number of data-parallel training workers used by
-//                        RunTaskGroup / core::ParallelTrainer. Default:
+//                        RunTaskGroup / core::ParallelTrainer, and the
+//                        serving-worker count of engines over reentrant
+//                        methods. Default:
 //                        hardware concurrency, capped at 8 (groups carry at
 //                        most accum_steps tasks). 1 = serial training loop.
 //                        Results are bit-identical for any value; only
@@ -141,23 +145,41 @@ void ConfigureTrainWorkers(int n);
 /// write state disjoint per task; any cross-task reduction happens after
 /// this returns (with full memory visibility into what the tasks wrote).
 ///
-/// When the training pool has more than one worker, each task body runs with
-/// kernel-level ParallelFor forced inline (see the worker x kernel-thread
-/// budget note above). With one worker, tasks run inline on the caller and
-/// kernels keep their usual pool — the serial PR-1 behaviour.
+/// When the training pool has more than one worker, each task body runs in
+/// an InlineKernelsScope (see the worker x kernel-thread budget note above).
+/// With one worker, tasks run inline on the caller and kernels keep their
+/// usual pool — the serial PR-1 behaviour.
 ///
-/// Callers and the serving dispatcher: RunTaskGroup may be called from any
-/// thread that is not itself a pool worker — core::ParallelTrainer calls it
-/// from the training thread, and serve::InferenceEngine from its persistent
-/// dispatcher thread (the engine's producer threads never reach this layer,
-/// so the worker x kernel-thread budget is independent of producer count).
+/// Callers: RunTaskGroup may be called from any thread that is not itself a
+/// pool worker; core::ParallelTrainer calls it from the training thread.
+/// Serving does not use it: serve::InferenceEngine owns its own serving
+/// workers (sized from NumTrainWorkers() for reentrant methods) and wraps
+/// each of them in an InlineKernelsScope when it runs more than one.
 /// Concurrent calls from several threads are memory-safe — each call's job
 /// is drained to completion by its own caller — but the pool workers only
 /// assist the most recently submitted job, so overlapping groups lose
 /// cross-task parallelism; keep one in-flight group per pool, which the
-/// single-dispatcher engine and the single-threaded trainer do by
-/// construction. Small groups wake only as many workers as they have tasks.
+/// single-threaded trainer does by construction. Small groups wake only as
+/// many workers as they have tasks.
 void RunTaskGroup(const std::vector<std::function<void()>>& tasks);
+
+/// RAII scope: while alive, kernel-level ParallelFor on the calling thread
+/// runs inline (single-threaded), exactly as on a kernel-pool worker. A
+/// layer that runs several coarse tasks at once — RunTaskGroup's tasks, the
+/// serving engine's workers — uses it so that its parallelism replaces the
+/// kernel pool's instead of multiplying with it. Results do not change:
+/// every kernel is bit-deterministic for any thread count. Scopes nest; the
+/// previous state is restored on exit, exceptions included.
+class InlineKernelsScope {
+ public:
+  InlineKernelsScope();
+  ~InlineKernelsScope();
+  InlineKernelsScope(const InlineKernelsScope&) = delete;
+  InlineKernelsScope& operator=(const InlineKernelsScope&) = delete;
+
+ private:
+  bool saved_;
+};
 
 }  // namespace parallel
 }  // namespace adaptraj

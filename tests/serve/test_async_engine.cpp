@@ -2,15 +2,17 @@
 // semantics: thread-safe non-blocking Submit (no execution on the caller
 // thread), lossless error delivery (Predict exceptions reach exactly the
 // failed batch's futures; destruction fails — not breaks — pending
-// promises), the max_batch_delay_ms deadline flush, multi-producer
-// bit-identity, the replica pool for non-reentrant methods, and the
-// per-request result-storage audit.
+// promises; malformed submissions are rejected through their futures), the
+// max_batch_delay_ms deadline flush, multi-producer bit-identity, the
+// serving-worker count and per-worker replicas for non-reentrant methods,
+// and the per-request result-storage audit.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -24,6 +26,7 @@
 #include "core/baselines.h"
 #include "core/parallel_trainer.h"
 #include "data/multi_domain.h"
+#include "serve/errors.h"
 #include "serve/inference_engine.h"
 #include "serve/replica_pool.h"
 #include "tensor/parallel.h"
@@ -111,6 +114,8 @@ struct MockState {
   bool released = true;     // block_until_released waits for this
   int instance_overlap = 0; // same-instance concurrent entries (must stay 0)
   std::set<std::thread::id> predict_threads;
+  /// Which threads ran Predict on which instance.
+  std::map<const core::Method*, std::set<std::thread::id>> threads_by_instance;
 };
 
 /// Configurable Method: returns obs_flat (so results are deterministic per
@@ -139,6 +144,7 @@ class MockMethod : public core::Method {
       std::unique_lock<std::mutex> lock(state_->mu);
       if (self_entries > 1) ++state_->instance_overlap;
       state_->predict_threads.insert(std::this_thread::get_id());
+      state_->threads_by_instance[this].insert(std::this_thread::get_id());
       ++state_->active;
       ++state_->entered;
       state_->max_concurrent = std::max(state_->max_concurrent, state_->active);
@@ -314,6 +320,55 @@ TEST(AsyncEngineErrorTest, PendingIdStrandedByDeadlineFlushRejectedViaFuture) {
   EXPECT_EQ(f3.get().shape()[0], 1);
 }
 
+TEST(AsyncEngineErrorTest, NegativeTimeoutRejectedViaFuture) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  InferenceEngine engine(&method, Options(/*batch_size=*/2));
+  auto scenes = Scenes(2);
+  SubmitOptions bad;
+  bad.timeout_ms = -5;
+  // A client-supplied option must never abort the server.
+  std::future<Tensor> rejected = engine.Submit(scenes[0], bad);
+  ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  try {
+    rejected.get();
+    FAIL() << "negative timeout should have been rejected";
+  } catch (const ServeError& e) {
+    EXPECT_NE(std::string(e.what()).find("timeout_ms"), std::string::npos);
+  }
+  // Nothing was enqueued: the next request takes slot 0 and serves.
+  std::future<Tensor> ok = engine.Submit(scenes[1]);
+  engine.Drain();
+  EXPECT_EQ(ok.get().shape()[0], 1);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.requests, 2);
+  EXPECT_EQ(stats.rejected_requests, 1);
+  EXPECT_EQ(stats.batches, 1);
+}
+
+TEST(AsyncEngineErrorTest, DuplicateExplicitIdRejectedViaFuture) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  InferenceEngine engine(&method, Options(/*batch_size=*/4));
+  auto scenes = Scenes(4);
+  std::future<Tensor> first = engine.Submit(3, scenes[0]);
+  std::future<Tensor> dup = engine.Submit(3, scenes[1]);
+  ASSERT_EQ(dup.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  try {
+    dup.get();
+    FAIL() << "duplicate id should have been rejected";
+  } catch (const ServeError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate request id 3"), std::string::npos);
+  }
+  // The original request keeps its slot and still serves once its batch
+  // (slots 0..3) is complete.
+  for (uint64_t id = 0; id < 3; ++id) (void)engine.Submit(id, scenes[id + 1]);
+  engine.Drain();
+  EXPECT_EQ(first.get().shape()[0], 1);
+  // A resend of an id whose batch already executed is rejected the same way.
+  std::future<Tensor> late = engine.Submit(1, scenes[2]);
+  EXPECT_THROW(late.get(), ServeError);
+  EXPECT_EQ(engine.stats().rejected_requests, 2);
+}
+
 // --- Async dispatch ----------------------------------------------------------
 
 TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
@@ -325,7 +380,6 @@ TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
     state->released = false;
   }
   auto options = Options(/*batch_size=*/4);
-  options.max_buffered_batches = 1;  // a full batch dispatches immediately
 
   InferenceEngine engine(&method, options);
   auto scenes = Scenes(4);
@@ -422,19 +476,74 @@ TEST(ReplicaPoolTest, ClonesMatchMasterAndAreIndependentStorage) {
   EXPECT_NE(vanilla_clone->backbone().ParameterSnapshot(), before);
 }
 
-TEST(ReplicaPoolTest, PinsBatchesToSlotsAndCapsAtMasterWhenNotClonable) {
+TEST(ReplicaPoolTest, DistinctSlotsAndCapsAtMasterWhenNotClonable) {
   core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
   ReplicaPool pool(&method, 4);
   EXPECT_EQ(pool.size(), 4);
   EXPECT_EQ(pool.method(0), &method);
-  EXPECT_EQ(pool.MethodForBatch(0), &method);
-  EXPECT_EQ(pool.MethodForBatch(5), pool.method(1));
-  EXPECT_EQ(pool.MethodForBatch(7), pool.method(3));
+  std::set<const core::Method*> instances;
+  for (int slot = 0; slot < pool.size(); ++slot) instances.insert(pool.method(slot));
+  EXPECT_EQ(instances.size(), 4u) << "two slots share one instance";
 
   auto state = std::make_shared<MockState>();
   MockMethod unclonable(state, /*reentrant=*/false, /*clonable=*/false);
   ReplicaPool capped(&unclonable, 4);
   EXPECT_EQ(capped.size(), 1);
+}
+
+TEST(AsyncEngineReplicaTest, WorkerCountFollowsTheMethod) {
+  parallel::ConfigureTrainWorkers(3);
+  auto state = std::make_shared<MockState>();
+  MockMethod reentrant(state, /*reentrant=*/true, /*clonable=*/false);
+  MockMethod pooled(state, /*reentrant=*/false, /*clonable=*/true);
+  MockMethod unclonable(state, /*reentrant=*/false, /*clonable=*/false);
+  auto options = Options(/*batch_size=*/2);
+  EXPECT_EQ(InferenceEngine(&reentrant, options).num_workers(), 3);
+  EXPECT_EQ(InferenceEngine(&pooled, options).num_workers(), 3);
+  EXPECT_EQ(InferenceEngine(&unclonable, options).num_workers(), 1);
+  options.num_replicas = 2;
+  EXPECT_EQ(InferenceEngine(&pooled, options).num_workers(), 2);
+  options.num_replicas = 1;
+  EXPECT_EQ(InferenceEngine(&pooled, options).num_workers(), 1);
+  parallel::ConfigureTrainWorkers(1);
+}
+
+TEST(AsyncEngineReplicaTest, EachWorkerKeepsItsOwnReplica) {
+  auto state = std::make_shared<MockState>();
+  MockMethod method(state, /*reentrant=*/false, /*clonable=*/true);
+  auto options = Options(/*batch_size=*/2);
+  options.num_replicas = 3;
+
+  InferenceEngine engine(&method, options);
+  ASSERT_EQ(engine.num_workers(), 3);
+  // Four producers keep several batches ready at once, so the workers take
+  // batches concurrently, many times each.
+  auto scenes = Scenes(240);
+  std::vector<std::future<Tensor>> futures(scenes.size());
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 4; ++p) {
+    producers.emplace_back([&, p] {
+      for (size_t i = p; i < scenes.size(); i += 4) {
+        futures[i] = engine.Submit(static_cast<uint64_t>(i), scenes[i]);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  engine.Drain();
+  for (auto& f : futures) EXPECT_EQ(f.get().shape()[0], 1);
+
+  std::lock_guard<std::mutex> lock(state->mu);
+  EXPECT_EQ(state->instance_overlap, 0) << "one replica ran two batches at once";
+  std::set<std::thread::id> owners;
+  for (const auto& entry : state->threads_by_instance) {
+    // One thread per instance: a worker never borrows another's replica...
+    EXPECT_EQ(entry.second.size(), 1u) << "a replica ran on several workers";
+    owners.insert(entry.second.begin(), entry.second.end());
+  }
+  // ...and one instance per thread: a worker never switches replica.
+  EXPECT_EQ(owners.size(), state->threads_by_instance.size())
+      << "a worker ran on several replicas";
+  EXPECT_LE(state->threads_by_instance.size(), 3u);
 }
 
 TEST(AsyncEngineReplicaTest, NonReentrantBatchesRunConcurrentlyOnClones) {
@@ -444,11 +553,10 @@ TEST(AsyncEngineReplicaTest, NonReentrantBatchesRunConcurrentlyOnClones) {
   method.set_wait_for_peer(true);
   auto options = Options(/*batch_size=*/2);
   options.num_replicas = 2;
-  options.max_buffered_batches = 2;
 
   InferenceEngine engine(&method, options);
   EXPECT_EQ(engine.num_replica_slots(), 2);
-  auto scenes = Scenes(4);  // two full batches -> one wave of two
+  auto scenes = Scenes(4);  // two full batches, one per worker
   std::vector<std::future<Tensor>> futures;
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();

@@ -101,7 +101,8 @@ void SubmitConcurrently(InferenceEngine* engine,
   for (auto& t : threads) t.join();
 }
 
-/// Blockable method for lifecycle races (same shape as test_slo's gate).
+/// Blockable method for lifecycle races (same shape as test_slo's gate):
+/// non-reentrant and unclonable, so the engine serves it with one worker.
 struct GateState {
   std::mutex mu;
   std::condition_variable cv;
@@ -114,7 +115,7 @@ class GatedMethod : public core::Method {
   explicit GatedMethod(std::shared_ptr<GateState> state) : state_(std::move(state)) {}
   std::string name() const override { return "gated"; }
   void Train(const data::DomainGeneralizationData&, const core::TrainConfig&) override {}
-  bool reentrant_predict() const override { return true; }
+  bool reentrant_predict() const override { return false; }
   std::unique_ptr<core::Method> CloneForServing() const override { return nullptr; }
   Tensor Predict(const data::Batch& batch, Rng*, bool) const override {
     std::unique_lock<std::mutex> lock(state_->mu);
@@ -158,7 +159,7 @@ TEST(ChaosTest, ThrowFaultsUnderFourProducersLeaveNonFaultedBytesIntact) {
   const auto reference = FaultFreeReference(inner, scenes, options);
 
   // force_serialized (the default) makes the wrapper non-reentrant and
-  // unclonable, so the engine serializes batches and call index == batch
+  // unclonable, so the engine runs one worker and call index == batch
   // index: batches 2 and 5 fault, deterministically.
   FaultSchedule schedule;
   schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});
@@ -205,7 +206,6 @@ TEST(ChaosTest, SleepFaultTripsWatchdogWhileQueuedDeadlinesStillExpire) {
   FaultInjectingMethod chaotic(&inner, schedule);
 
   auto options = Options(/*batch_size=*/2);
-  options.max_buffered_batches = 1;
   options.stuck_batch_warn_ms = 30;
   std::atomic<int> stuck_reports{0};
   options.on_stuck_batch = [&](int64_t) { ++stuck_reports; };
@@ -227,7 +227,7 @@ TEST(ChaosTest, SleepFaultTripsWatchdogWhileQueuedDeadlinesStillExpire) {
   SubmitOptions deadline;
   deadline.timeout_ms = 40;
   std::future<Tensor> doomed = engine.Submit(scenes[2], deadline);
-  // The dispatcher is asleep inside the faulted batch for ~300ms; only the
+  // The only worker is asleep inside the faulted batch for ~300ms; only the
   // watchdog can honor this 40ms deadline.
   ASSERT_EQ(doomed.wait_for(std::chrono::seconds(10)), std::future_status::ready)
       << "deadline behind the wedged batch never expired";
@@ -289,18 +289,18 @@ TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
   core::VanillaMethod inner(models::BackboneKind::kLbebm, TinyBackbone(), 5);
   ASSERT_FALSE(inner.reentrant_predict());
   // force_serialized=false: the wrapper clones (sharing the fault counter),
-  // so the engine builds a replica pool OVER the fault injector. With 6
-  // batches on 2 replicas, the faulted replica must serve later waves too.
+  // so the engine builds a replica pool OVER the fault injector and runs
+  // two workers, each on its own replica. The worker whose replica threw
+  // keeps taking batches afterwards.
   FaultSchedule schedule;
-  schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});  // 3rd Predict call, mid-wave
+  schedule.emplace(2, FaultSpec{FaultKind::kThrow, 0});  // 3rd Predict call
   FaultInjectingMethod chaotic(&inner, schedule, /*force_serialized=*/false);
 
   const size_t n = 12;
-  const int batch = 2;  // 6 batches -> 3 waves of 2 on 2 replicas
+  const int batch = 2;  // 6 batches on 2 workers
   auto scenes = Scenes(n);
   auto options = Options(batch);
   options.num_replicas = 2;
-  options.max_buffered_batches = 6;  // one group: all 6 batches, 3 waves
 
   InferenceEngine engine(&chaotic, options);
   EXPECT_EQ(engine.num_replica_slots(), 2);
@@ -308,8 +308,8 @@ TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
 
-  // Exactly one batch faulted (which one depends on the wave's internal
-  // race for call indices — irrelevant: the invariant is containment).
+  // Exactly one batch faulted (which one depends on the workers' race for
+  // call indices — irrelevant: the invariant is containment).
   std::vector<size_t> failed_requests;
   for (size_t i = 0; i < n; ++i) {
     try {
@@ -331,9 +331,8 @@ TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.batches, 6);
   EXPECT_EQ(stats.failed_batches, 1);
-  // The replica that threw served at least one later batch: with batch b
-  // pinned to replica b % 2 and 6 batches, every replica serves 3 batches —
-  // all non-faulted ones succeeded above, so reuse after the fault is clean.
+  // Every batch after the fault succeeded above, whichever worker (and so
+  // whichever replica) took it: a replica that threw serves on cleanly.
   parallel::ConfigureTrainWorkers(1);
 }
 
@@ -347,7 +346,6 @@ TEST(ChaosTest, DestroyDuringDrainWakesTheDrainerWithTypedError) {
   }
   auto method = std::make_unique<GatedMethod>(state);
   auto options = Options(/*batch_size=*/2);
-  options.max_buffered_batches = 1;
   auto engine = std::make_unique<InferenceEngine>(method.get(), options);
 
   auto scenes = Scenes(2);
@@ -397,7 +395,6 @@ TEST(ChaosTest, SubmitRacingDestructionNeverBreaksAFuture) {
   auto scenes = Scenes(8);
   for (int round = 0; round < 10; ++round) {
     auto options = Options(/*batch_size=*/2, /*seed=*/42 + static_cast<uint64_t>(round));
-    options.max_buffered_batches = 1;
     std::vector<std::vector<std::future<Tensor>>> per_thread(4);
     {
       InferenceEngine engine(&method, options);

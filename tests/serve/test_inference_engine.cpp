@@ -7,8 +7,13 @@
 // (same slot->batch mapping, per-batch noise streams, padded-tail
 // composition). Async-specific behaviour lives in test_async_engine.cpp.
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,25 +189,67 @@ TEST(InferenceEngineTest, ResultsByteIdenticalAcrossWorkerCounts) {
   ExpectAllEqual(w1, w4);
 }
 
-TEST(InferenceEngineTest, ResultsIndependentOfDrainInterleaving) {
+TEST(InferenceEngineTest, ResultsByteIdenticalAcrossWorkersAndArrivalOrders) {
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
-  auto scenes = Scenes(16);
+  auto scenes = Scenes(44);  // 5 full batches of 8 + a padded tail of 4
   auto options = Options(/*batch_size=*/8);
+  const uint64_t n = scenes.size();
 
-  auto all_at_once = Serve(method, scenes, options);
+  parallel::ConfigureTrainWorkers(1);
+  auto reference = Serve(method, scenes, options);
 
-  // Same stream under different dispatch cadences: eager (every full batch
-  // executes as soon as it completes) vs lazy (everything waits for Drain).
-  // The slot->batch mapping is identical, so the bytes must be too.
-  auto opts_eager = options;
-  opts_eager.max_buffered_batches = 1;  // dispatch every full batch eagerly
-  auto eager = Serve(method, scenes, opts_eager);
-  auto opts_lazy = options;
-  opts_lazy.max_buffered_batches = 8;  // everything waits for the drain
-  auto lazy = Serve(method, scenes, opts_lazy);
+  // Each arrival order submits every slot once with an explicit id, so the
+  // slot->batch mapping — and with it every byte — is fixed; only which
+  // batch completes first, and on which worker, changes.
+  auto reversed = [&](InferenceEngine* engine, std::vector<std::future<Tensor>>* f) {
+    for (uint64_t i = n; i-- > 0;) (*f)[i] = engine->Submit(i, scenes[i]);
+  };
+  auto batches_backwards = [&](InferenceEngine* engine, std::vector<std::future<Tensor>>* f) {
+    // Whole batches complete last-first, so later batches run before earlier
+    // ones on an otherwise idle engine.
+    for (uint64_t b = (n + 7) / 8; b-- > 0;) {
+      for (uint64_t i = b * 8; i < std::min(n, b * 8 + 8); ++i) {
+        (*f)[i] = engine->Submit(i, scenes[i]);
+      }
+    }
+  };
+  auto paced = [&](InferenceEngine* engine, std::vector<std::future<Tensor>>* f) {
+    // Every full batch executes as soon as it completes, one at a time.
+    for (uint64_t i = 0; i < n; ++i) {
+      (*f)[i] = engine->Submit(i, scenes[i]);
+      if (i % 8 == 7) (void)(*f)[i].wait_for(std::chrono::seconds(10));
+    }
+  };
+  auto four_producers = [&](InferenceEngine* engine, std::vector<std::future<Tensor>>* f) {
+    std::vector<std::thread> threads;
+    for (uint64_t p = 0; p < 4; ++p) {
+      threads.emplace_back([&, p] {
+        for (uint64_t i = p; i < n; i += 4) (*f)[i] = engine->Submit(i, scenes[i]);
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+  using Order = std::function<void(InferenceEngine*, std::vector<std::future<Tensor>>*)>;
+  const std::vector<Order> orders = {reversed, batches_backwards, paced, four_producers};
 
-  ExpectAllEqual(all_at_once, eager);
-  ExpectAllEqual(all_at_once, lazy);
+  for (int workers : {1, 2, 4}) {
+    parallel::ConfigureTrainWorkers(workers);
+    for (size_t o = 0; o < orders.size(); ++o) {
+      InferenceEngine engine(&method, options);
+      ASSERT_EQ(engine.num_workers(), workers);
+      std::vector<std::future<Tensor>> futures(n);
+      orders[o](&engine, &futures);
+      engine.Drain();
+      std::vector<std::vector<float>> got;
+      for (auto& f : futures) {
+        Tensor t = f.get();
+        got.emplace_back(t.data(), t.data() + t.size());
+      }
+      SCOPED_TRACE("workers=" + std::to_string(workers) + " order=" + std::to_string(o));
+      ExpectAllEqual(reference, got);
+    }
+  }
+  parallel::ConfigureTrainWorkers(1);
 }
 
 TEST(InferenceEngineTest, OutOfOrderArrivalByteIdenticalToInOrder) {
@@ -252,18 +299,9 @@ TEST(InferenceEngineTest, LbebmServesSeriallyAndDeterministically) {
 
 // --- API misuse --------------------------------------------------------------
 
-TEST(InferenceEngineDeathTest, DuplicateRequestIdDies) {
-  // The engine owns a live dispatcher thread, so the default fork()-based
-  // death test could inherit a locked mutex; re-exec instead.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
-  auto scenes = Scenes(1);
-  InferenceEngine engine(&method, Options(/*batch_size=*/4));
-  engine.Submit(7, scenes[0]);
-  EXPECT_DEATH(engine.Submit(7, scenes[0]), "duplicate request id");
-}
-
 TEST(InferenceEngineDeathTest, DrainWithSlotGapDies) {
+  // The engine owns live worker threads, so the default fork()-based death
+  // test could inherit a locked mutex; re-exec instead.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   auto scenes = Scenes(1);

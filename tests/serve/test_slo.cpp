@@ -93,7 +93,10 @@ void ExpectRowsEqual(const std::vector<float>& a, const std::vector<float>& b,
 }
 
 /// Minimal blockable method: Predict returns obs_flat after (optionally)
-/// waiting for release; `entered` is the has-started-executing fence.
+/// waiting for release; `entered` is the has-started-executing fence. It is
+/// non-reentrant and unclonable, so the engine serves it with ONE worker: a
+/// request meant to queue behind a wedged batch stays queued instead of
+/// getting a worker of its own.
 struct GateState {
   std::mutex mu;
   std::condition_variable cv;
@@ -106,7 +109,7 @@ class GatedMethod : public core::Method {
   explicit GatedMethod(std::shared_ptr<GateState> state) : state_(std::move(state)) {}
   std::string name() const override { return "gated"; }
   void Train(const data::DomainGeneralizationData&, const core::TrainConfig&) override {}
-  bool reentrant_predict() const override { return true; }
+  bool reentrant_predict() const override { return false; }
   std::unique_ptr<core::Method> CloneForServing() const override { return nullptr; }
   Tensor Predict(const data::Batch& batch, Rng*, bool) const override {
     std::unique_lock<std::mutex> lock(state_->mu);
@@ -189,7 +192,6 @@ TEST(AdmissionControlTest, ShedPolicyFailsFastWithOverloadedError) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/2);
-  options.max_buffered_batches = 1;
   options.max_queued_requests = 2;
   options.overflow_policy = OverflowPolicy::kShed;
 
@@ -230,7 +232,6 @@ TEST(AdmissionControlTest, BlockPolicyParksTheProducerUntilSpaceFrees) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/1);
-  options.max_buffered_batches = 1;
   options.max_queued_requests = 1;
   options.overflow_policy = OverflowPolicy::kBlock;
 
@@ -267,7 +268,6 @@ TEST(AdmissionControlTest, ShutdownUnblocksAParkedProducerWithTypedError) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/1);
-  options.max_buffered_batches = 1;
   options.max_queued_requests = 1;
   options.overflow_policy = OverflowPolicy::kBlock;
 
@@ -316,7 +316,7 @@ TEST(DeadlineTest, QueuedRequestExpiresAndSurvivorsKeepTheirBytes) {
   SubmitOptions deadline;
   deadline.timeout_ms = 30;
   // Slot 0 carries a deadline and nothing completes its batch: the watchdog
-  // must expire it without any dispatcher activity.
+  // must expire it without any worker activity.
   std::future<Tensor> doomed = engine.Submit(0, scenes[0], deadline);
   ASSERT_EQ(doomed.wait_for(std::chrono::seconds(10)), std::future_status::ready)
       << "queued deadline never expired";
@@ -353,17 +353,16 @@ TEST(DeadlineTest, ExpiryProgressesWhileDispatcherIsExecuting) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/1);
-  options.max_buffered_batches = 1;
 
   InferenceEngine engine(&method, options);
   auto scenes = Scenes(2);
   std::future<Tensor> inflight = engine.Submit(scenes[0]);
-  AwaitEntered(state.get(), 1);  // dispatcher is now blocked inside Predict
+  AwaitEntered(state.get(), 1);  // the only worker is now blocked inside Predict
 
   SubmitOptions deadline;
   deadline.timeout_ms = 30;
   std::future<Tensor> queued = engine.Submit(scenes[1], deadline);
-  // Only the watchdog can expire it — the dispatcher is wedged.
+  // Only the watchdog can expire it — the engine's one worker is wedged.
   ASSERT_EQ(queued.wait_for(std::chrono::seconds(10)), std::future_status::ready)
       << "watchdog did not expire a queued deadline behind a wedged batch";
   EXPECT_THROW(queued.get(), DeadlineExceededError);
@@ -384,7 +383,6 @@ TEST(DeadlineTest, RequestAlreadyExecutingIsNeverExpired) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/1);
-  options.max_buffered_batches = 1;
 
   InferenceEngine engine(&method, options);
   SubmitOptions deadline;
@@ -407,7 +405,6 @@ TEST(WatchdogTest, StuckBatchIsCountedAndReportedOnce) {
   }
   GatedMethod method(state);
   auto options = Options(/*batch_size=*/2);
-  options.max_buffered_batches = 1;
   options.stuck_batch_warn_ms = 20;
   std::atomic<int> callbacks{0};
   std::atomic<int64_t> reported_ms{0};
@@ -426,11 +423,11 @@ TEST(WatchdogTest, StuckBatchIsCountedAndReportedOnce) {
   while (callbacks.load() == 0 && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(callbacks.load(), 1) << "watchdog never reported the wedged group";
+  ASSERT_EQ(callbacks.load(), 1) << "watchdog never reported the wedged batch";
   EXPECT_GE(reported_ms.load(), 20);
-  // Give the watchdog a chance to (incorrectly) re-report the same group.
+  // Give the watchdog a chance to (incorrectly) re-report the same batch.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_EQ(callbacks.load(), 1) << "stuck group reported more than once";
+  EXPECT_EQ(callbacks.load(), 1) << "stuck batch reported more than once";
 
   Release(state.get());
   engine.Drain();

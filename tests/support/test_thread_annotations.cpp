@@ -9,7 +9,7 @@
 //   * Everywhere, the annotated support::Mutex / MutexLock / CondVar
 //     wrappers must behave exactly like the std primitives they wrap — the
 //     smoke tests exercise lock exclusion, the mid-scope Unlock/Lock used by
-//     the dispatcher loop, and a condvar handoff, so the wrappers can never
+//     the serving workers' loop, and a condvar handoff, so the wrappers can never
 //     drift into annotation-only stubs.
 //
 // The Clang side of the contract (annotations actually DETECTED misuse) is
@@ -97,7 +97,7 @@ TEST(SyncTest, MutexLockExcludesConcurrentCriticalSections) {
 }
 
 TEST(SyncTest, MidScopeUnlockRelockMatchesDispatcherUsage) {
-  // The dispatcher loop's shape: hold, unlock to run work, relock to update
+  // A serving worker's loop shape: hold, unlock to run work, relock to update
   // shared state. The relocked section must again exclude other holders.
   support::Mutex mu;
   int stage = 0;

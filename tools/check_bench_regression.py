@@ -47,8 +47,8 @@ TRACKED_PREFIXES = (
     # for the ratio and is deliberately NOT tracked. The BM_InferenceEngine
     # prefix tracks both the Drain-paced path (BM_InferenceEngine/{1,8,32})
     # and the multi-producer async path (BM_InferenceEngineAsync/{1,4});
-    # both gate on whole-process CPU (execution lives on the dispatcher and
-    # worker threads, not the benchmark main thread). BM_PredictPlanned is
+    # both gate on whole-process CPU (execution lives on the engine's serving
+    # workers, not the benchmark main thread). BM_PredictPlanned is
     # the warm execution-plan replay path (tensor/plan.h) — pure steady-state
     # serving cost; BM_PredictEager is its plans-off baseline and, like
     # GradMode, deliberately NOT tracked. The BM_InferenceEngine prefix also
