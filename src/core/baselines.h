@@ -40,6 +40,7 @@ class VanillaMethod : public Method {
   std::unique_ptr<Method> CloneForServing() const override;
 
   models::Backbone& backbone() { return *backbone_; }
+  const models::Backbone& backbone() const { return *backbone_; }
 
  private:
   models::BackboneKind kind_;

@@ -111,7 +111,8 @@ class Method {
   }
 
   /// True when concurrent Predict() calls on this instance are safe (see
-  /// models::Backbone::reentrant_predict). serve::InferenceEngine runs
+  /// models::Backbone::reentrant_predict). Every built-in method is; the
+  /// contract stays for external methods. serve::InferenceEngine runs
   /// non-reentrant methods on private replicas (CloneForServing) — or one
   /// batch at a time when the method is not clonable.
   virtual bool reentrant_predict() const { return true; }
@@ -122,12 +123,12 @@ class Method {
   /// left in inference mode. Replica predictions are bit-identical to the
   /// original's — construction seeds only decide initial weights, which the
   /// parameter copy overwrites — so serve::ReplicaPool can run a
-  /// non-reentrant Predict (LBEBM's Langevin sampler writes its model's
-  /// gradient buffers) on several batches concurrently, each on a private
-  /// copy. Returns nullptr when the method cannot be replicated; the built-in
-  /// methods all can, the default covers external subclasses. Clones start
-  /// with an empty plan cache, so a serving swap can never replay a plan
-  /// holding the pre-swap weights.
+  /// non-reentrant Predict on several batches concurrently, each on a
+  /// private copy, and SwapWeights can build its standby. Returns nullptr
+  /// when the method cannot be replicated; the built-in methods all can, the
+  /// default covers external subclasses. Clones start with an empty plan
+  /// cache, so a serving swap can never replay a plan holding the pre-swap
+  /// weights.
   virtual std::unique_ptr<Method> CloneForServing() const { return nullptr; }
 
   /// Telemetry for this instance's execution-plan cache (tensor/plan.h).

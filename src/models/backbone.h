@@ -95,10 +95,11 @@ class Backbone : public nn::Module {
   virtual BackboneKind kind() const = 0;
 
   /// True when concurrent Predict() calls on one instance are safe (forward
-  /// passes only read parameters and allocate from thread-local pools).
-  /// LBEBM returns false: its Langevin sampler backpropagates through the
-  /// shared energy network's gradient buffers. serve::InferenceEngine
-  /// consults this to serialize batch execution for such backbones.
+  /// passes only read parameters and allocate from thread-local pools). All
+  /// built-in backbones are reentrant — LBEBM's Langevin sampler uses a
+  /// closed-form energy gradient, not autograd. A backbone whose Predict
+  /// writes shared state must return false; serve::InferenceEngine then
+  /// serves it on private replicas (serve::ReplicaPool).
   virtual bool reentrant_predict() const { return true; }
 
  protected:

@@ -9,6 +9,38 @@ namespace models {
 
 using namespace ops;  // NOLINT(build/namespaces)
 
+namespace {
+
+/// The closed-form dE/dz of the two-layer ReLU energy (see
+/// LbebmBackbone::EnergyGradZ), with its z-independent factors built once so
+/// each Langevin step runs only the ops that depend on z. Mirrors what
+/// autograd computes, op for op: Relu's derivative is 1{pre > 0} (0 for a
+/// NaN pre-activation), the output layer's backward is w2ᵀ, and the input
+/// layer's backward is a GEMM against W1ᵀ whose first `latent` columns are
+/// the z block.
+class EnergyGrad {
+ public:
+  EnergyGrad(const nn::Mlp& energy, int64_t batch, int64_t latent)
+      : fc0_(energy.layer(0)),
+        w1z_t_(Transpose(Slice(fc0_.weight(), 0, 0, latent))),
+        w2_row_(Transpose(energy.layer(1).weight())),
+        zeros_(Tensor::Zeros({batch, fc0_.out_features()})) {}
+
+  Tensor operator()(const Tensor& z, const Tensor& context) const {
+    Tensor pre = fc0_.Forward(Concat({z, context}, 1));
+    Tensor active = MaskedFill(zeros_, Relu(pre), 1.0f);  // exactly 1{pre > 0}
+    return MatMul(BroadcastMul(active, w2_row_), w1z_t_);
+  }
+
+ private:
+  const nn::Linear& fc0_;
+  Tensor w1z_t_;   // W1[0:latent]ᵀ, [H, latent]
+  Tensor w2_row_;  // w2ᵀ, [1, H]
+  Tensor zeros_;   // [B, H]
+};
+
+}  // namespace
+
 LbebmBackbone::LbebmBackbone(const BackboneConfig& config, Rng* rng)
     : Backbone(config),
       step_embed_({2, config.embed_dim}, rng, nn::Activation::kRelu,
@@ -32,7 +64,6 @@ LbebmBackbone::LbebmBackbone(const BackboneConfig& config, Rng* rng)
   RegisterModule("posterior", &posterior_);
   RegisterModule("energy", &energy_);
   RegisterModule("decoder", &decoder_);
-  all_params_ = Parameters();
 }
 
 EncodeResult LbebmBackbone::Encode(const data::Batch& batch) const {
@@ -55,32 +86,27 @@ Tensor LbebmBackbone::Energy(const Tensor& z, const Tensor& context) const {
   return energy_.Forward(Concat({z, context}, 1));  // [B, 1]
 }
 
+Tensor LbebmBackbone::EnergyGradZ(const Tensor& z, const Tensor& context) const {
+  NoGradGuard no_grad;
+  return EnergyGrad(energy_, z.shape()[0], config_.latent_dim)(z, context);
+}
+
 Tensor LbebmBackbone::SampleLangevin(const Tensor& context, Rng* rng) const {
-  // Gradient island: Langevin dynamics differentiates the energy w.r.t. z,
-  // so the tape must be recorded here even when the surrounding Predict()
-  // runs under NoGradGuard.
-  EnableGradGuard grad_island;
-  const int64_t b = context.shape()[0];
-  Tensor ctx = context.Detach();
-  Tensor z = Tensor::Randn({b, config_.latent_dim}, rng);
-  const float step = config_.langevin_step_size;
-  const float noise_scale = std::sqrt(step);
+  // The gradient is closed-form, so the sampler is plain forward computation
+  // in training (Loss's negative sample) and serving alike: no tape, no
+  // gradient buffers, and every draw is a recorded Randn that plan replay
+  // re-draws.
+  NoGradGuard no_grad;
+  const Shape shape = {context.shape()[0], config_.latent_dim};
+  const EnergyGrad grad_z(energy_, shape[0], config_.latent_dim);
+  const float half_step = 0.5f * config_.langevin_step_size;
+  const float noise_scale = std::sqrt(config_.langevin_step_size);
+  Tensor z = Tensor::Randn(shape, rng);
   for (int k = 0; k < config_.langevin_steps; ++k) {
-    z.set_requires_grad(true);
-    z.ZeroGrad();
-    Sum(Energy(z, ctx)).Backward();
-    Tensor grad = z.grad();
     // U(z) = E(z, ctx) + 0.5 ||z||^2  (EBM-tilted standard normal prior).
-    std::vector<float> next(z.size());
-    for (int64_t i = 0; i < z.size(); ++i) {
-      next[i] = z.flat(i) - 0.5f * step * (grad.flat(i) + z.flat(i)) +
-                noise_scale * rng->Normal();
-    }
-    z = Tensor::FromVector(z.shape(), std::move(next));
+    Tensor drift = MulScalar(Add(grad_z(z, context), z), half_step);
+    z = Add(Sub(z, drift), Tensor::Randn(shape, rng, noise_scale));
   }
-  // Sampling back-propagated into the energy parameters; wipe those stray
-  // gradients so they cannot leak into the caller's optimizer step.
-  for (Tensor& p : all_params_) p.ZeroGrad();
   return z;
 }
 
@@ -102,8 +128,8 @@ Tensor LbebmBackbone::Predict(const data::Batch& batch, const EncodeResult& enc,
 Tensor LbebmBackbone::Loss(const data::Batch& batch, const EncodeResult& enc,
                            const Tensor& extra, Rng* rng) const {
   const int64_t b = batch.batch_size;
-  // Draw the negative (prior) sample FIRST: Langevin clears all parameter
-  // gradients afterwards, which must not erase the caller's loss graph.
+  // The negative (prior) sample is drawn first: that fixes the rng stream
+  // order (Langevin draws, then the posterior's reparameterization noise).
   Tensor z_neg = SampleLangevin(Context(enc), rng);
 
   // CVAE posterior over latent plans.

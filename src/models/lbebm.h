@@ -4,7 +4,10 @@
 // A CVAE-style posterior encodes the future into a latent plan; the prior
 // over plans is an energy network sampled with short-run Langevin dynamics.
 // The energy is trained contrastively (posterior samples low, prior samples
-// high). Langevin gradients come from the library's own autograd engine.
+// high). The energy is a two-layer ReLU MLP, so the Langevin gradient dE/dz
+// has a closed form that the sampler evaluates with ordinary no-grad ops:
+// Predict records no autograd graph, touches no gradient buffer, and is
+// therefore reentrant and capturable as an execution plan.
 
 #ifndef ADAPTRAJ_MODELS_LBEBM_H_
 #define ADAPTRAJ_MODELS_LBEBM_H_
@@ -26,16 +29,19 @@ class LbebmBackbone : public Backbone {
   Tensor Loss(const data::Batch& batch, const EncodeResult& enc, const Tensor& extra,
               Rng* rng) const override;
   BackboneKind kind() const override { return BackboneKind::kLbebm; }
-  /// Langevin sampling writes (then wipes) shared parameter gradients, so
-  /// concurrent Predict() calls on one instance would race.
-  bool reentrant_predict() const override { return false; }
 
   /// Energy of latent plans z [B, latent] under context [B, ctx]: returns
   /// [B, 1]. Exposed for tests.
   Tensor Energy(const Tensor& z, const Tensor& context) const;
 
+  /// dE/dz of Sum(Energy(z, context)) in closed form, [B, latent]: for
+  /// E = relu([z ; ctx]·W1 + b1)·w2 + b2,
+  /// dE/dz = (1{pre > 0} ⊙ w2ᵀ)·W1[0:latent]ᵀ. Bitwise equal to the
+  /// autograd gradient; records no graph. Exposed for tests.
+  Tensor EnergyGradZ(const Tensor& z, const Tensor& context) const;
+
   /// Short-run Langevin sampling from the energy-based prior
-  /// p(z|ctx) ~ exp(-E(z,ctx)) N(z; 0, I). Returns a detached [B, latent]
+  /// p(z|ctx) ~ exp(-E(z,ctx)) N(z; 0, I). Returns a no-grad [B, latent]
   /// sample. Exposed for tests.
   Tensor SampleLangevin(const Tensor& context, Rng* rng) const;
 
@@ -49,9 +55,6 @@ class LbebmBackbone : public Backbone {
   nn::Mlp posterior_;  // q(z | future, ctx) -> [mu ; logvar]
   nn::Mlp energy_;     // E(z, ctx) -> scalar
   nn::Mlp decoder_;    // (ctx, z, extra) -> future displacements
-  /// Handles to the full parameter set; Langevin sampling pollutes parameter
-  /// gradients through the autograd tape, so they are cleared afterwards.
-  mutable std::vector<Tensor> all_params_;
   float kl_weight_ = 0.05f;
   float ebm_weight_ = 0.1f;
 };

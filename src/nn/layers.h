@@ -30,6 +30,8 @@ class Linear : public Module {
 
   int64_t in_features() const { return weight_.shape()[0]; }
   int64_t out_features() const { return weight_.shape()[1]; }
+  /// The [in, out] weight parameter.
+  const Tensor& weight() const { return weight_; }
 
  private:
   Tensor weight_;  // [in, out]
@@ -47,6 +49,9 @@ class Mlp : public Module {
   Tensor Forward(const Tensor& x) const;
 
   int64_t out_features() const;
+
+  /// The i-th affine layer.
+  const Linear& layer(size_t i) const { return *layers_[i]; }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

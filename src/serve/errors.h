@@ -6,8 +6,9 @@
 // batch — reaches the caller by rethrowing from future.get(). Bare
 // std::runtime_error forced every caller into string matching; these types
 // let a front-end branch on cause (shed -> retry elsewhere with backoff,
-// deadline -> drop the stale frame, stopped -> reconnect) while staying
-// catchable as std::runtime_error for callers that do not care.
+// deadline -> drop the stale frame, stopped -> reconnect, invalid -> fix the
+// request) while staying catchable as std::runtime_error for callers that
+// do not care.
 //
 // The taxonomy deliberately covers only failures the ENGINE originates.
 // An exception thrown by the served Method's Predict (or tensorization,
@@ -58,6 +59,15 @@ class DeadlineExceededError : public ServeError {
 class EngineStoppedError : public ServeError {
  public:
   explicit EngineStoppedError(const std::string& what) : ServeError(what) {}
+};
+
+/// The submitted scene does not fit the engine's SequenceConfig: a focal
+/// track that is not obs_len + pred_len points long, or a neighbor window
+/// that is not obs_len points long. Rejected at Submit, before it is queued,
+/// so it never takes a slot and never reaches a serving worker.
+class InvalidRequestError : public ServeError {
+ public:
+  explicit InvalidRequestError(const std::string& what) : ServeError(what) {}
 };
 
 }  // namespace serve

@@ -41,6 +41,28 @@ void ValidateOptions(const InferenceEngineOptions& options) {
                          << options.encode_cache_bytes);
 }
 
+/// Why data::MakeBatch would reject `scene` under `seq` (its length checks
+/// abort), or "" when the scene fits.
+std::string SceneShapeError(const data::TrajectorySequence& scene,
+                            const data::SequenceConfig& seq) {
+  const size_t track_len = static_cast<size_t>(seq.total_len());
+  if (scene.focal.size() != track_len) {
+    return "invalid request: focal track has " + std::to_string(scene.focal.size()) +
+           " points; the engine's sequence config needs obs_len + pred_len = " +
+           std::to_string(track_len);
+  }
+  const size_t window_len = static_cast<size_t>(seq.obs_len);
+  for (size_t m = 0; m < scene.neighbors.size(); ++m) {
+    if (scene.neighbors[m].size() != window_len) {
+      return "invalid request: neighbor " + std::to_string(m) + " window has " +
+             std::to_string(scene.neighbors[m].size()) +
+             " points; the engine's sequence config needs obs_len = " +
+             std::to_string(window_len);
+    }
+  }
+  return "";
+}
+
 /// Resolves the engine's tri-state cache switch to on/off.
 bool EncodeCacheResolvedOn(EncodeCacheMode mode) {
   switch (mode) {
@@ -177,9 +199,13 @@ std::future<Tensor> InferenceEngine::FailedFuture(std::exception_ptr error) {
 }
 
 std::future<Tensor> InferenceEngine::RejectLocked(const std::string& message) {
+  return RejectLocked(std::make_exception_ptr(ServeError(message)));
+}
+
+std::future<Tensor> InferenceEngine::RejectLocked(std::exception_ptr error) {
   ++stats_.requests;
   ++stats_.rejected_requests;
-  return FailedFuture(std::make_exception_ptr(ServeError(message)));
+  return FailedFuture(std::move(error));
 }
 
 std::future<Tensor> InferenceEngine::Submit(const data::TrajectorySequence& scene) {
@@ -206,6 +232,14 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
                                                 uint64_t request_id,
                                                 const data::TrajectorySequence& scene,
                                                 const SubmitOptions& submit_options) {
+  // data::MakeBatch aborts on a length mismatch, so a scene that would fail
+  // its checks is refused here, before it can reach a serving worker. The
+  // check reads only the immutable options, so it runs outside mu_.
+  const std::string shape_error = SceneShapeError(scene, options_.sequence);
+  if (!shape_error.empty()) {
+    support::MutexLock lock(mu_);
+    return RejectLocked(std::make_exception_ptr(InvalidRequestError(shape_error)));
+  }
   std::future<Tensor> future;
   support::CondVar* wake = nullptr;
   {
@@ -234,9 +268,7 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
       idle_cv_.NotifyAll();
     }
     if (shutdown_) {
-      ++stats_.requests;
-      ++stats_.rejected_requests;
-      return FailedFuture(std::make_exception_ptr(
+      return RejectLocked(std::make_exception_ptr(
           EngineStoppedError("Submit on a stopped InferenceEngine")));
     }
     future = SubmitLocked(has_explicit_id ? request_id : next_auto_id_, scene,

@@ -86,6 +86,11 @@
 //     began executing always runs to completion, deadline notwithstanding.
 //   - EngineStoppedError: shutdown/destruction reached the request first
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
+//   - InvalidRequestError: a scene whose focal track or neighbor windows do
+//     not match options.sequence. Checked at Submit, before the scene is
+//     queued, so it never takes a slot (an explicit id stays free for a
+//     valid resubmission) and the rest of its batch is unaffected. Counted in
+//     rejected_requests.
 //   - ServeError: a malformed submission — a negative timeout_ms, an
 //     explicit id that is already pending, or one whose batch already
 //     executed (with max_batch_delay_ms set, typically an id that lost the
@@ -154,9 +159,9 @@
 //     bytes are unchanged — each row's result depends only on its own scene,
 //     its row index, and its batch's noise stream, the same property padding
 //     has always relied on.
-//   - Reentrant methods execute batches concurrently on the shared master
-//     model. Non-reentrant methods (LBEBM: the Langevin sampler writes its
-//     model's gradient buffers) execute on a serve::ReplicaPool of private
+//   - Reentrant methods — every built-in method, LBEBM included — execute
+//     batches concurrently on the shared master model. Methods that declare
+//     themselves non-reentrant execute on a serve::ReplicaPool of private
 //     model copies, worker w always on replica slot w, so one instance never
 //     runs two batches at once — concurrency without the data race,
 //     bit-identical to serialized execution because the replicas hold
@@ -290,7 +295,8 @@ struct InferenceEngineStats {
   int64_t padded_rows = 0;       // rows computed for padding and discarded
   int64_t failed_batches = 0;    // batches whose futures carry an exception
   int64_t deadline_flushes = 0;  // flushes triggered by max_batch_delay_ms
-  /// Requests refused without executing: negative timeouts, duplicate
+  /// Requests refused without executing: scenes of the wrong shape
+  /// (InvalidRequestError), negative timeouts, duplicate
   /// explicit ids, explicit ids whose batch already executed (or lost the
   /// race against a deadline flush), ids stranded behind a padded-past slot
   /// hole, and Submits after shutdown.
@@ -491,6 +497,8 @@ class InferenceEngine {
   /// Counts a rejected submission and returns its ServeError future.
   std::future<Tensor> RejectLocked(const std::string& message)
       ADAPTRAJ_REQUIRES(mu_);
+  /// Counts a rejected submission and returns a future failed with `error`.
+  std::future<Tensor> RejectLocked(std::exception_ptr error) ADAPTRAJ_REQUIRES(mu_);
   /// Fails every queued request whose deadline has passed
   /// (DeadlineExceededError), leaving slot tombstones.
   void ExpireOverdueLocked(std::chrono::steady_clock::time_point now)

@@ -1,11 +1,14 @@
 // Slot-pinned pool of serving replicas for non-reentrant methods.
 //
-// LBEBM's Predict differentiates its energy network inside the Langevin
-// sampler and therefore writes the model's shared gradient buffers: two
-// concurrent Predict calls on the same instance race. Before this pool the
-// engine's only safe schedule was one batch at a time. A ReplicaPool removes
-// the bottleneck the same way core::ParallelTrainer does on the training
-// path: independent model copies, one per concurrency slot.
+// A method whose Predict writes shared state (Method::reentrant_predict()
+// == false) cannot run two batches concurrently on one instance. No
+// built-in method does so any more — LBEBM's Langevin sampler, the one that
+// used to write gradient buffers, now evaluates its energy gradient in
+// closed form — but the contract stays public for external methods. Without
+// this pool the engine's only safe schedule for such a method would be one
+// batch at a time. A ReplicaPool removes the bottleneck the same way
+// core::ParallelTrainer does on the training path: independent model
+// copies, one per concurrency slot.
 //
 //   - Slot 0 is always the served master (no copy); slots 1..R-1 are built
 //     with core::Method::CloneForServing — same construction path as a

@@ -10,8 +10,8 @@
 // path), and intermediates are not retained by any graph, so they return to
 // the thread-local buffer pool as soon as their handle goes out of scope.
 // Calling Backward() on a result produced under no-grad is a checked error.
-// Samplers that need gradients at inference time (LBEBM's Langevin loop)
-// open an EnableGradGuard island around just the differentiated region.
+// Code that needs gradients inside a no-grad call opens an EnableGradGuard
+// island around just the differentiated region.
 //
 // Shape conventions: MatMul/Transpose are 2-D and BatchMatMul is 3-D;
 // elementwise ops require equal shapes; the Broadcast* variants accept a

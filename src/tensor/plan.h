@@ -33,7 +33,7 @@
 // identically.
 //
 // Safety: capture aborts to permanent eager fallback for the key when the
-// body is not a pure traced forward — a grad-mode op (LBEBM's Langevin
+// body is not a pure traced forward — a grad-mode op (an EnableGradGuard
 // island), a Backward() call, or any op without a recording hook (detected
 // by an op-output/step count mismatch, so new ops degrade gracefully). The
 // ADAPTRAJ_PLAN env var is the kill-switch (unset/"1"/"on" = on, "0"/"off"

@@ -72,9 +72,10 @@ class NoGradGuard {
 };
 
 /// RAII scope re-enabling gradient recording inside a NoGradGuard — a
-/// "gradient island" for inference-time samplers that genuinely need
-/// Backward() (LBEBM's Langevin loop differentiates the energy w.r.t. the
-/// latent while the surrounding Predict runs no-grad).
+/// "gradient island" for code that genuinely needs Backward() while the
+/// surrounding call runs no-grad. No built-in Predict opens one (LBEBM's
+/// Langevin sampler uses a closed-form gradient); an island inside a plan
+/// capture aborts it to permanent eager.
 class EnableGradGuard {
  public:
   EnableGradGuard() : prev_(GradMode::SetEnabled(true)) {}

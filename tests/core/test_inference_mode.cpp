@@ -81,21 +81,19 @@ TEST(InferenceModeTest, PredictAllocatesZeroGradNodesAllMethods) {
   }
 }
 
-// LBEBM's Langevin sampler is a legitimate gradient island inside Predict:
-// it must still record (and backpropagate) its own graph under the method's
-// NoGradGuard, while the surrounding forward stays untracked.
-TEST(InferenceModeTest, LbebmPredictUsesGradIslandButReturnsNoGradResult) {
+// LBEBM's Langevin sampler evaluates dE/dz in closed form, so its Predict is
+// forward-only like every other backbone's, and therefore reentrant.
+TEST(InferenceModeTest, LbebmPredictCreatesNoGradNodesAndIsReentrant) {
   auto dgd = TinyData();
-  data::Batch batch = ProbeBatch(dgd, 2);
-  VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  Rng rng(13);
-  const int64_t before = internal::GradNodesCreated();
-  Tensor pred = method.Predict(batch, &rng, /*sample=*/true);
-  // The island allocated nodes (Langevin differentiates the energy)...
-  EXPECT_GT(internal::GradNodesCreated(), before);
-  // ...but the prediction itself is a plain forward result.
-  EXPECT_FALSE(pred.needs_grad());
-  EXPECT_FALSE(method.reentrant_predict());
+  data::Batch batch = ProbeBatch(dgd, 4);
+  for (auto& method : AllMethods(models::BackboneKind::kLbebm)) {
+    Rng rng(13);
+    const int64_t before = internal::GradNodesCreated();
+    Tensor pred = method->Predict(batch, &rng, /*sample=*/true);
+    EXPECT_EQ(internal::GradNodesCreated(), before) << method->name();
+    EXPECT_FALSE(pred.needs_grad()) << method->name();
+    EXPECT_TRUE(method->reentrant_predict()) << method->name();
+  }
 }
 
 TEST(InferenceModeTest, PredictBitIdenticalToGradModeAllMethods) {

@@ -3,7 +3,8 @@
 // (including the transformer encoder, whose LayerNorm/attention-softmax
 // chains exercise the elementwise fusions) across batch shapes including
 // B = 0 and B = 1, shape changes miss and capture per key, LBEBM's Langevin
-// inner loop aborts to permanent eager, and Train invalidates packed plans.
+// sampler captures and replays (its rng draws included), and Train
+// invalidates packed plans.
 
 #include <cstring>
 #include <memory>
@@ -72,6 +73,7 @@ data::Batch ProbeBatch(const data::DomainGeneralizationData& dgd, size_t n) {
 
 void ExpectBitIdentical(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
+  if (a.size() == 0) return;  // an empty tensor's data() may be null
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.size()) * sizeof(float)),
             0)
@@ -176,7 +178,9 @@ TEST_F(PlanPredictTest, ShapeAndSampleChangesMissAndCapturePerKey) {
   EXPECT_GT(s.arena_bytes, 0);
 }
 
-TEST_F(PlanPredictTest, LbebmLangevinLoopAbortsToPermanentEager) {
+TEST_F(PlanPredictTest, LbebmLangevinLoopCapturesAndReplays) {
+  // The closed-form Langevin gradient is ordinary no-grad ops and its noise
+  // is recorded Randn draws, so the sampler is plannable like any decoder.
   plan::SetMode(plan::Mode::kOn);
   auto dgd = TinyData();
   data::Batch batch = ProbeBatch(dgd, 4);
@@ -184,11 +188,12 @@ TEST_F(PlanPredictTest, LbebmLangevinLoopAbortsToPermanentEager) {
   Rng rng(11);
   (void)method.Predict(batch, &rng, /*sample=*/true);
   (void)method.Predict(batch, &rng, /*sample=*/true);
+  (void)method.Predict(batch, &rng, /*sample=*/true);
   plan::CacheStats s = method.plan_stats();
-  EXPECT_EQ(s.plans, 0);
-  EXPECT_EQ(s.captures, 0);
-  EXPECT_EQ(s.aborted, 1);  // the second call skips the doomed capture
-  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.plans, 1);
+  EXPECT_GE(s.captures, 1);
+  EXPECT_EQ(s.aborted, 0);
+  EXPECT_GE(s.hits, 1);
 }
 
 TEST_F(PlanPredictTest, TrainInvalidatesPackedPlans) {

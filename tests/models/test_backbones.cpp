@@ -4,6 +4,7 @@
 #include "models/backbone.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -272,15 +273,60 @@ TEST(LbebmTest, LangevinDoesNotLeakGradients) {
   cfg.latent_dim = 4;
   LbebmBackbone model(cfg, &rng);
   model.ZeroGrad();
-  Tensor ctx = Tensor::Randn({2, 32}, &rng);
+  // A context that carries gradient, as in Loss: the sample must still come
+  // back as a plain tensor with no graph behind it.
+  Tensor ctx = Tensor::Randn({2, 32}, &rng, 1.0f, /*requires_grad=*/true);
   Rng sampler(8);
-  (void)model.SampleLangevin(ctx, &sampler);
+  const int64_t nodes_before = internal::GradNodesCreated();
+  Tensor z = model.SampleLangevin(ctx, &sampler);
+  EXPECT_EQ(internal::GradNodesCreated(), nodes_before);
+  EXPECT_FALSE(z.needs_grad());
   for (const Tensor& p : model.Parameters()) {
     Tensor g = p.grad();
     for (int64_t i = 0; i < g.size(); ++i) {
       ASSERT_EQ(g.flat(i), 0.0f) << "Langevin sampling leaked parameter gradients";
     }
   }
+}
+
+// The sampler's closed-form dE/dz against the autograd reference: the same
+// bytes, element for element, over several initializations. Row 0 has every
+// hidden unit inactive (z = ctx = 0 against the zero-initialized bias, so
+// pre = 0 exactly) and row 1 a NaN context (Relu's derivative at NaN is 0).
+TEST(LbebmTest, ClosedFormEnergyGradBitwiseEqualsAutograd) {
+  BackboneConfig cfg;  // default widths: latent 8, context 64, hidden 32
+  const int64_t rows = 64;
+  const int64_t ctx_dim = cfg.hidden_dim + cfg.social_dim;
+  int64_t nonzero = 0;
+  for (uint64_t seed : {31u, 32u, 33u, 34u, 35u}) {
+    Rng rng(seed);
+    LbebmBackbone model(cfg, &rng);
+    Tensor z = Tensor::Randn({rows, cfg.latent_dim}, &rng);
+    Tensor ctx = Tensor::Randn({rows, ctx_dim}, &rng, 2.0f);
+    for (int64_t j = 0; j < cfg.latent_dim; ++j) z.data()[j] = 0.0f;
+    for (int64_t j = 0; j < ctx_dim; ++j) {
+      ctx.data()[j] = 0.0f;
+      ctx.data()[ctx_dim + j] = std::nanf("");
+    }
+
+    Tensor closed = model.EnergyGradZ(z, ctx);
+    EXPECT_FALSE(closed.needs_grad());
+
+    z.set_requires_grad(true);
+    ops::Sum(model.Energy(z, ctx)).Backward();
+    Tensor reference = z.grad();
+
+    ASSERT_EQ(closed.shape(), reference.shape());
+    EXPECT_EQ(std::memcmp(closed.data(), reference.data(),
+                          static_cast<size_t>(closed.size()) * sizeof(float)),
+              0)
+        << "seed " << seed;
+    for (int64_t j = 0; j < 2 * cfg.latent_dim; ++j) {
+      EXPECT_EQ(closed.flat(j), 0.0f) << "seed " << seed << " element " << j;
+    }
+    for (int64_t i = 0; i < closed.size(); ++i) nonzero += closed.flat(i) != 0.0f;
+  }
+  EXPECT_GT(nonzero, 0) << "every gradient was zero; the comparison is vacuous";
 }
 
 // Decoder dropout (BackboneConfig::dropout) is live in training mode and the

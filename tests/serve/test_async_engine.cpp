@@ -30,6 +30,7 @@
 #include "serve/inference_engine.h"
 #include "serve/replica_pool.h"
 #include "tensor/parallel.h"
+#include "non_reentrant_method.h"
 
 namespace adaptraj {
 namespace serve {
@@ -369,6 +370,52 @@ TEST(AsyncEngineErrorTest, DuplicateExplicitIdRejectedViaFuture) {
   EXPECT_EQ(engine.stats().rejected_requests, 2);
 }
 
+TEST(AsyncEngineErrorTest, MisshapenSceneRejectedViaFutureAndBatchMatesKeepTheirBytes) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  auto scenes = Scenes(8);
+  auto options = Options(/*batch_size=*/4);
+  auto reference = Serve(method, scenes, options);
+
+  // Each of these would abort data::MakeBatch if it reached a worker.
+  std::vector<data::TrajectorySequence> bad(3, scenes[0]);
+  bad[0].focal.pop_back();                                       // truncated track
+  bad[1].focal.push_back(bad[1].focal.back());                   // extended track
+  bad[2].neighbors.push_back(std::vector<sim::Vec2>(3, {0, 0}));  // short window
+
+  InferenceEngine engine(&method, options);
+  std::vector<std::future<Tensor>> valid;
+  std::vector<std::future<Tensor>> rejected;
+  for (size_t i = 0; i < scenes.size(); ++i) {
+    valid.push_back(engine.Submit(scenes[i]));
+    if (i < bad.size()) rejected.push_back(engine.Submit(bad[i]));  // into batch 0
+  }
+  engine.Drain();
+  for (auto& f : rejected) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    try {
+      f.get();
+      FAIL() << "a misshapen scene should have been rejected";
+    } catch (const InvalidRequestError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid request"), std::string::npos);
+    }
+  }
+  // The rejected scenes took no slot: their batch mates are byte-identical
+  // to a run that never saw them.
+  ExpectAllEqual(reference, Collect(&valid));
+
+  // An explicit id refused for its shape stays free for a valid resend.
+  std::future<Tensor> bad_id = engine.Submit(8, bad[0]);
+  EXPECT_THROW(bad_id.get(), InvalidRequestError);
+  std::future<Tensor> good_id = engine.Submit(8, scenes[0]);
+  engine.Drain();
+  EXPECT_EQ(good_id.get().shape()[0], 1);
+
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.requests, 13);
+  EXPECT_EQ(stats.rejected_requests, 4);
+  EXPECT_EQ(stats.batches, 3);
+}
+
 // --- Async dispatch ----------------------------------------------------------
 
 TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
@@ -570,8 +617,8 @@ TEST(AsyncEngineReplicaTest, NonReentrantBatchesRunConcurrentlyOnClones) {
   parallel::ConfigureTrainWorkers(1);
 }
 
-TEST(AsyncEngineReplicaTest, LbebmConcurrentReplicasBitIdenticalToSerialized) {
-  core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
+TEST(AsyncEngineReplicaTest, NonReentrantConcurrentReplicasBitIdenticalToSerialized) {
+  NonReentrantMethod method(models::BackboneKind::kPecnet, TinyBackbone(), 5);
   ASSERT_FALSE(method.reentrant_predict());
   auto scenes = Scenes(10);  // 2 full batches of 4 + padded tail
   auto options = Options(/*batch_size=*/4);

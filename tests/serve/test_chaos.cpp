@@ -25,6 +25,7 @@
 #include "serve/fault_injection.h"
 #include "serve/inference_engine.h"
 #include "tensor/parallel.h"
+#include "non_reentrant_method.h"
 
 namespace adaptraj {
 namespace serve {
@@ -286,7 +287,7 @@ TEST(ChaosTest, NaNFaultPoisonsOnlyItsOwnBatch) {
 
 TEST(ChaosTest, ReplicaThatServedAFaultedBatchIsReusedCleanly) {
   parallel::ConfigureTrainWorkers(2);
-  core::VanillaMethod inner(models::BackboneKind::kLbebm, TinyBackbone(), 5);
+  NonReentrantMethod inner(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   ASSERT_FALSE(inner.reentrant_predict());
   // force_serialized=false: the wrapper clones (sharing the fault counter),
   // so the engine builds a replica pool OVER the fault injector and runs

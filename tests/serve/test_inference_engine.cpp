@@ -1,11 +1,12 @@
 // Tests for serve::InferenceEngine: batching semantics (fixed width, padded
 // tails, deterministic request->slot order), correctness against the
 // reference batched Predict, byte-identical results across worker counts and
-// submission interleavings (including explicit out-of-order ids), and the
-// non-reentrant (LBEBM) path. These tests predate the async rewrite and pin
-// the PR-4 synchronous semantics the async engine must reproduce bit-for-bit
-// (same slot->batch mapping, per-batch noise streams, padded-tail
-// composition). Async-specific behaviour lives in test_async_engine.cpp.
+// submission interleavings (including explicit out-of-order ids), LBEBM on
+// one shared instance, and the non-reentrant (replica pool) path. These
+// tests predate the async rewrite and pin the PR-4 synchronous semantics the
+// async engine must reproduce bit-for-bit (same slot->batch mapping,
+// per-batch noise streams, padded-tail composition). Async-specific
+// behaviour lives in test_async_engine.cpp.
 
 #include <algorithm>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "data/multi_domain.h"
 #include "serve/inference_engine.h"
 #include "tensor/parallel.h"
+#include "non_reentrant_method.h"
 
 namespace adaptraj {
 namespace serve {
@@ -282,10 +284,37 @@ TEST(InferenceEngineTest, RepeatRunsAreByteIdentical) {
   ExpectAllEqual(Serve(method, scenes, options), Serve(method, scenes, options));
 }
 
-// --- Non-reentrant methods ---------------------------------------------------
+// --- LBEBM and non-reentrant methods ----------------------------------------
 
-TEST(InferenceEngineTest, LbebmServesSeriallyAndDeterministically) {
+TEST(InferenceEngineTest, LbebmSharedInstanceOnFourWorkersMatchesOneWorker) {
+  // The Langevin sampler records no graph and writes no gradient buffer, so
+  // LBEBM is reentrant: four workers share the one instance concurrently.
   core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
+  ASSERT_TRUE(method.reentrant_predict());
+  auto scenes = Scenes(40);  // 10 batches
+  auto options = Options(/*batch_size=*/4);
+
+  parallel::ConfigureTrainWorkers(1);
+  auto w1 = Serve(method, scenes, options);
+
+  parallel::ConfigureTrainWorkers(4);
+  InferenceEngine engine(&method, options);
+  EXPECT_EQ(engine.num_workers(), 4);
+  EXPECT_EQ(engine.num_replica_slots(), 1) << "LBEBM was given a replica pool";
+  std::vector<std::future<Tensor>> futures;
+  for (const auto& s : scenes) futures.push_back(engine.Submit(s));
+  engine.Drain();
+  std::vector<std::vector<float>> w4;
+  for (auto& f : futures) {
+    Tensor t = f.get();
+    w4.emplace_back(t.data(), t.data() + t.size());
+  }
+  parallel::ConfigureTrainWorkers(1);
+  ExpectAllEqual(w1, w4);
+}
+
+TEST(InferenceEngineTest, NonReentrantMethodServesDeterministically) {
+  NonReentrantMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   ASSERT_FALSE(method.reentrant_predict());
   auto scenes = Scenes(6);
   auto options = Options(/*batch_size=*/4);

@@ -17,6 +17,7 @@
 #include "serve/inference_engine.h"
 #include "tensor/parallel.h"
 #include "tensor/plan.h"
+#include "non_reentrant_method.h"
 
 namespace adaptraj {
 namespace serve {
@@ -139,12 +140,14 @@ TEST_F(PlanServingTest, EngineStatsReportPlanTelemetry) {
 }
 
 TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
-  // Non-reentrant LBEBM runs on a replica pool; each slot owns a plan cache
-  // whose Langevin abort registers once. The engine stats must sum them.
+  // A non-reentrant method runs on a replica pool; each slot owns a plan
+  // cache. The rendezvous pins the first two batches to the two workers, so
+  // each slot captures once; the engine stats must sum them.
   plan::SetMode(plan::Mode::kOn);
   parallel::ConfigureTrainWorkers(2);
   auto scenes = Scenes(8);
-  core::VanillaMethod method(models::BackboneKind::kLbebm, TinyBackbone(), 5);
+  NonReentrantMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  method.set_rendezvous(2);
   auto options = Options(/*batch_size=*/4);
   options.num_replicas = 2;
   InferenceEngine engine(&method, options);
@@ -152,11 +155,19 @@ TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
   std::vector<std::future<Tensor>> futures;
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
-  for (auto& f : futures) (void)f.get();
-
   InferenceEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plan.plans, 0);     // LBEBM is unplannable on every slot
-  EXPECT_EQ(stats.plan.aborted, 2);   // one abort per replica slot
+  EXPECT_EQ(stats.plan.plans, 2);     // one plan per replica slot
+  EXPECT_EQ(stats.plan.captures, 2);  // one capture per replica slot
+  EXPECT_EQ(stats.plan.aborted, 0);
+
+  // Whichever slot takes them, two more batches of the same shape replay.
+  for (const auto& s : scenes) futures.push_back(engine.Submit(s));
+  engine.Drain();
+  for (auto& f : futures) (void)f.get();
+  stats = engine.stats();
+  EXPECT_EQ(stats.plan.plans, 2);
+  EXPECT_EQ(stats.plan.hits, 2);
+  parallel::ConfigureTrainWorkers(1);
 }
 
 TEST_F(PlanServingTest, SwapWeightsUnderPlannedServingServesNewWeights) {

@@ -25,6 +25,7 @@
 #include "serve/inference_engine.h"
 #include "serve/latency_histogram.h"
 #include "tensor/parallel.h"
+#include "non_reentrant_method.h"
 
 namespace adaptraj {
 namespace serve {
@@ -530,8 +531,8 @@ TEST(SwapWeightsTest, ForcedFlipServesOldThenNewBitExactly) {
 
 TEST(SwapWeightsTest, RebuildsTheReplicaPoolForNonReentrantMethods) {
   parallel::ConfigureTrainWorkers(2);
-  core::VanillaMethod old_weights(models::BackboneKind::kLbebm, TinyBackbone(), 5);
-  core::VanillaMethod new_weights(models::BackboneKind::kLbebm, TinyBackbone(), 77);
+  NonReentrantMethod old_weights(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  NonReentrantMethod new_weights(models::BackboneKind::kSeq2Seq, TinyBackbone(), 77);
   ASSERT_FALSE(old_weights.reentrant_predict());
   auto scenes = Scenes(8);
   auto options = Options(/*batch_size=*/2);
