@@ -4,10 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/parallel_trainer.h"
-#include "core/predict_plan.h"
-#include "nn/optimizer.h"
-
 namespace adaptraj {
 namespace core {
 
@@ -23,26 +19,36 @@ std::string AdapTrajVariantName(AdapTrajVariant v) {
   return "";
 }
 
+namespace {
+
+// Parameter groups, in ParamGroups order.
+constexpr int kMainGroup = 0;
+constexpr int kAggregatorGroup = 1;
+
+}  // namespace
+
 AdapTrajMethod::AdapTrajMethod(models::BackboneKind kind,
                                const models::BackboneConfig& backbone_config,
                                const AdapTrajConfig& model_config, uint64_t init_seed,
                                AdapTrajVariant variant,
                                const AdapTrajTrainConfig& schedule)
-    : kind_(kind),
-      backbone_config_(backbone_config),
+    : BackboneMethod(kind, backbone_config, init_seed,
+                     [kind, backbone_config, model_config](Rng* rng) {
+                       auto model = std::make_unique<AdapTrajModel>(
+                           kind, backbone_config, model_config, rng);
+                       BackboneModel tree;
+                       tree.backbone = &model->backbone();
+                       tree.root = std::move(model);
+                       return tree;
+                     }),
       model_config_(model_config),
-      init_seed_(init_seed),
       variant_(variant),
-      schedule_(schedule) {
-  Rng rng(init_seed);
-  model_ =
-      std::make_unique<AdapTrajModel>(kind, backbone_config, model_config, &rng);
-  // Methods serve in inference mode unless a Train() is in flight — also
-  // for models restored via LoadParameters, which never pass through Train().
-  model_->eval();
-}
+      schedule_(schedule) {}
 
-AdapTrajFeatures AdapTrajMethod::ApplyVariant(AdapTrajFeatures f) const {
+AdapTrajFeatures AdapTrajMethod::Features(const AdapTrajModel& model,
+                                          const models::EncodeResult& enc,
+                                          const std::vector<int>& labels) const {
+  AdapTrajFeatures f = model.ExtractFeatures(enc, labels);
   switch (variant_) {
     case AdapTrajVariant::kFull:
       break;
@@ -56,51 +62,28 @@ AdapTrajFeatures AdapTrajMethod::ApplyVariant(AdapTrajFeatures f) const {
   return f;
 }
 
-void AdapTrajMethod::MicroBatchBackward(AdapTrajModel* model, const data::Batch& batch,
-                                        const std::vector<int>& labels, float delta,
-                                        Rng* rng) const {
-  models::EncodeResult enc = model->backbone().Encode(batch);
-  AdapTrajFeatures f = ApplyVariant(model->ExtractFeatures(enc, labels));
-  Tensor base = model->backbone().Loss(batch, enc, f.Extra(), rng);  // L_base
-  Tensor total = Add(base, MulScalar(model->OursLoss(batch, f, labels), delta));
-  total.Backward();
+Tensor AdapTrajMethod::Conditioning(const data::Batch& batch,
+                                    const models::EncodeResult& enc) const {
+  return Features(model(), enc, std::vector<int>(batch.batch_size, -1)).Extra();
 }
 
-void AdapTrajMethod::Train(const data::DomainGeneralizationData& dgd,
-                           const TrainConfig& config) {
-  // Parameter groups: Alg. 1 steers the aggregator and the rest at different
-  // learning-rate fractions per step.
-  nn::Adam opt(config.lr);
-  const int g_main = opt.AddGroup(model_->BackboneAndExtractorParams(), 1.0f);
-  const int g_agg = opt.AddGroup(model_->AggregatorParams(), 0.0f);
+Tensor AdapTrajMethod::MicroBatchLoss(const BackboneModel& tree, const MicroBatch& mb,
+                                      Rng* rng) const {
+  const auto& model = static_cast<const AdapTrajModel&>(*tree.root);
+  const data::Batch& batch = mb.batches[0];
+  models::EncodeResult enc = tree.backbone->Encode(batch);
+  AdapTrajFeatures f = Features(model, enc, mb.labels);
+  Tensor base = tree.backbone->Loss(batch, enc, f.Extra(), rng);  // L_base
+  return Add(base, MulScalar(model.OursLoss(batch, f, mb.labels), mb.delta));
+}
 
-  // Scene-parallel driver: slot 0 is the live model, slots 1..A-1 are cached
-  // replicas built from the construction arguments (the trainer overwrites
-  // their weights with the master's before every group).
-  ReplicaTrainer<AdapTrajModel> rt = MakeReplicaTrainer(
-      model_.get(), &train_replicas_, &opt, config.accum_steps, config.grad_clip,
-      [this] {
-        Rng replica_rng(init_seed_);
-        return std::make_unique<AdapTrajModel>(kind_, backbone_config_,
-                                               model_config_, &replica_rng);
-      });
-  ParallelTrainer& trainer = *rt.trainer;
-  for (AdapTrajModel* m : rt.models) m->train();
+std::vector<std::vector<Tensor>> AdapTrajMethod::ParamGroups() const {
+  return {model().BackboneAndExtractorParams(), model().AggregatorParams()};
+}
 
-  // The main-thread Rng drives the label-masking schedule; every micro-batch
-  // loss draws from its own TaskSeed stream (see parallel_trainer.h).
-  Rng mask_rng(config.seed);
-  uint64_t task_index = 0;
-  auto submit = [&](const data::Batch& batch, std::vector<int> labels, float delta) {
-    const uint64_t seed = TaskSeed(config.seed, task_index++);
-    trainer.Submit(
-        [this, &rt, batch, labels = std::move(labels), delta, seed](int slot) {
-          Rng rng(seed);
-          MicroBatchBackward(rt.models[slot], batch, labels, delta, &rng);
-        });
-  };
-
-  data::SequenceConfig seq_cfg;
+void AdapTrajMethod::Schedule(const data::DomainGeneralizationData& dgd,
+                              TrainLoop* loop) const {
+  const TrainConfig& config = loop->config();
   const int e_start =
       std::max(1, static_cast<int>(std::round(config.epochs * schedule_.start_fraction)));
   const int e_end = std::max(
@@ -108,110 +91,46 @@ void AdapTrajMethod::Train(const data::DomainGeneralizationData& dgd,
 
   // Step 1 iterates pooled batches; steps 2-3 iterate per-domain batches
   // (Alg. 1 lines 8 and 20) so masking hides one whole domain at a time.
-  data::BatchLoader pooled(&dgd.pooled_train, config.batch_size, seq_cfg,
-                           config.seed + 11, /*shuffle=*/true);
-  std::vector<std::unique_ptr<data::BatchLoader>> per_domain;
-  for (const auto& source : dgd.sources) {
-    per_domain.push_back(std::make_unique<data::BatchLoader>(
-        &source.train, config.batch_size, seq_cfg, config.seed + 31 + per_domain.size(),
-        /*shuffle=*/true));
+  data::BatchLoader pooled = loop->Loader(dgd.pooled_train, 11);
+  std::vector<data::BatchLoader> per_domain;
+  for (size_t k = 0; k < dgd.sources.size(); ++k) {
+    per_domain.push_back(loop->Loader(dgd.sources[k].train, 31 + k));
   }
+  // The main-thread Rng drives the label-masking schedule; every micro-batch
+  // loss draws from its own TaskSeed stream.
+  Rng mask_rng(config.seed);
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     if (epoch < e_start) {
       // Step 1: backbone + extractors, full lr; aggregator frozen.
-      opt.SetGroupScale(g_main, 1.0f);
-      opt.SetGroupScale(g_agg, 0.0f);
-      pooled.Reset();
-      data::Batch batch;
-      int batches = 0;
-      while (pooled.Next(&batch)) {
-        if (config.max_batches_per_epoch > 0 &&
-            batches >= config.max_batches_per_epoch) {
-          break;
-        }
-        submit(batch, batch.domain_labels, schedule_.delta);
-        ++batches;
-      }
-      trainer.Flush();  // the phase scales may change at the epoch boundary
-      continue;
-    }
-
-    // Steps 2-3: per-domain iterations with stochastic label masking.
-    const bool step2 = epoch < e_end;
-    opt.SetGroupScale(g_agg, step2 ? schedule_.f_high : schedule_.f_low);
-    opt.SetGroupScale(g_main, schedule_.f_low);
-    for (size_t k = 0; k < per_domain.size(); ++k) {
-      per_domain[k]->Reset();
-      data::Batch batch;
-      int batches = 0;
-      while (per_domain[k]->Next(&batch)) {
-        if (config.max_batches_per_epoch > 0 &&
-            batches >= config.max_batches_per_epoch) {
-          break;
-        }
-        std::vector<int> labels = batch.domain_labels;
-        if (mask_rng.Bernoulli(schedule_.sigma)) {
-          std::fill(labels.begin(), labels.end(), -1);  // D^k_S -> D^?_S
-        }
-        submit(batch, std::move(labels), schedule_.delta_prime);
-        ++batches;
+      loop->SetGroupScale(kMainGroup, 1.0f);
+      loop->SetGroupScale(kAggregatorGroup, 0.0f);
+      loop->Pass({&pooled}, [&](std::vector<data::Batch> group) {
+        std::vector<int> labels = group[0].domain_labels;
+        return MicroBatch{std::move(group), std::move(labels), schedule_.delta};
+      });
+    } else {
+      // Steps 2-3: per-domain iterations with stochastic label masking.
+      const bool step2 = epoch < e_end;
+      loop->SetGroupScale(kAggregatorGroup, step2 ? schedule_.f_high : schedule_.f_low);
+      loop->SetGroupScale(kMainGroup, schedule_.f_low);
+      for (data::BatchLoader& loader : per_domain) {
+        loop->Pass({&loader}, [&](std::vector<data::Batch> group) {
+          std::vector<int> labels = group[0].domain_labels;
+          if (mask_rng.Bernoulli(schedule_.sigma)) {
+            std::fill(labels.begin(), labels.end(), -1);  // D^k_S -> D^?_S
+          }
+          return MicroBatch{std::move(group), std::move(labels), schedule_.delta_prime};
+        });
       }
     }
-    trainer.Flush();
+    loop->Flush();  // the phase scales may change at the epoch boundary
   }
-  trainer.Flush();
-  for (AdapTrajModel* m : rt.models) m->eval();
-  plan_cache_.Invalidate();  // fused plans packed the pre-training weights
-  BumpWeightsVersion();      // serving-side encoder caches must drop too
 }
 
-Tensor AdapTrajMethod::Predict(const data::Batch& batch, Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, PredictPlanKey(batch, sample),
-                               PredictPlanInputs(batch), rng);
-  if (session.CanReplay()) return session.Replay();
-  // Unseen domain: every sequence routes through the aggregator (label -1).
-  std::vector<int> labels(batch.batch_size, -1);
-  models::EncodeResult enc = model_->backbone().Encode(batch);
-  AdapTrajFeatures f = ApplyVariant(model_->ExtractFeatures(enc, labels));
-  return session.Finish(model_->backbone().Predict(batch, enc, f.Extra(), rng, sample));
-}
-
-int64_t AdapTrajMethod::predict_encode_width() const {
-  const models::BackboneConfig& cfg = model_->backbone().config();
-  return cfg.hidden_dim + cfg.social_dim;
-}
-
-Tensor AdapTrajMethod::PredictEncode(const data::Batch& batch) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, EncodePlanKey(batch),
-                               PredictPlanInputs(batch), /*rng=*/nullptr);
-  if (session.CanReplay()) return session.Replay();
-  return session.Finish(PackEncodeResult(model_->backbone().Encode(batch)));
-}
-
-Tensor AdapTrajMethod::PredictDecode(const data::Batch& batch, const Tensor& enc_rows,
-                                     Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, DecodePlanKey(batch, sample),
-                               DecodePlanInputs(batch, enc_rows), rng);
-  if (session.CanReplay()) return session.Replay();
-  // Feature extraction lives in the decode half: it mixes encoder rows
-  // through the aggregator, but always over the full batch, so the per-row
-  // purity requirement only binds on PredictEncode.
-  std::vector<int> labels(batch.batch_size, -1);
-  models::EncodeResult enc =
-      UnpackEncodeResult(enc_rows, model_->backbone().config().hidden_dim);
-  AdapTrajFeatures f = ApplyVariant(model_->ExtractFeatures(enc, labels));
-  return session.Finish(model_->backbone().Predict(batch, enc, f.Extra(), rng, sample));
-}
-
-std::unique_ptr<Method> AdapTrajMethod::CloneForServing() const {
-  auto clone = std::make_unique<AdapTrajMethod>(kind_, backbone_config_, model_config_,
-                                                init_seed_, variant_, schedule_);
-  clone->model_->CopyParametersFrom(*model_);
-  return clone;
+std::unique_ptr<BackboneMethod> AdapTrajMethod::NewInstance() const {
+  return std::make_unique<AdapTrajMethod>(kind_, config_, model_config_, init_seed_,
+                                          variant_, schedule_);
 }
 
 }  // namespace core

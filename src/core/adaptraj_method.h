@@ -5,10 +5,11 @@
 #define ADAPTRAJ_CORE_ADAPTRAJ_METHOD_H_
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/adaptraj_model.h"
-#include "core/method.h"
-#include "nn/optimizer.h"
+#include "core/backbone_method.h"
 
 namespace adaptraj {
 namespace core {
@@ -40,7 +41,7 @@ struct AdapTrajTrainConfig {
 };
 
 /// The AdapTraj method: wraps AdapTrajModel and implements Alg. 1.
-class AdapTrajMethod : public Method {
+class AdapTrajMethod : public BackboneMethod {
  public:
   AdapTrajMethod(models::BackboneKind kind, const models::BackboneConfig& backbone_config,
                  const AdapTrajConfig& model_config, uint64_t init_seed,
@@ -48,44 +49,35 @@ class AdapTrajMethod : public Method {
                  const AdapTrajTrainConfig& schedule = AdapTrajTrainConfig());
 
   std::string name() const override { return "AdapTraj"; }
-  void Train(const data::DomainGeneralizationData& dgd,
-             const TrainConfig& config) override;
-  Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override;
-  int64_t predict_encode_width() const override;
-  Tensor PredictEncode(const data::Batch& batch) const override;
-  Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
-                       bool sample) const override;
-  bool reentrant_predict() const override {
-    return model_->backbone().reentrant_predict();
-  }
-  std::unique_ptr<Method> CloneForServing() const override;
 
-  AdapTrajModel& model() { return *model_; }
+  AdapTrajModel& model() { return static_cast<AdapTrajModel&>(root()); }
+  const AdapTrajModel& model() const { return static_cast<const AdapTrajModel&>(root()); }
   const AdapTrajTrainConfig& schedule() const { return schedule_; }
 
+ protected:
+  /// Unseen domain: [H^i ; H^s] with every sequence routed through the
+  /// aggregator (label -1). It mixes encoder rows through the aggregator,
+  /// but always over the full batch, so the per-row purity requirement
+  /// only binds on PredictEncode.
+  Tensor Conditioning(const data::Batch& batch,
+                      const models::EncodeResult& enc) const override;
+  /// The Alg.-1 step loss L_base + delta * L_ours.
+  Tensor MicroBatchLoss(const BackboneModel& model, const MicroBatch& mb,
+                        Rng* rng) const override;
+  /// Backbone + extractors, then the aggregator: Alg. 1 steers the two at
+  /// different learning-rate fractions per step.
+  std::vector<std::vector<Tensor>> ParamGroups() const override;
+  /// The three Alg.-1 steps.
+  void Schedule(const data::DomainGeneralizationData& dgd,
+                TrainLoop* loop) const override;
+  std::unique_ptr<BackboneMethod> NewInstance() const override;
+
  private:
-  /// Applies the ablation variant to extracted features.
-  AdapTrajFeatures ApplyVariant(AdapTrajFeatures f) const;
+  /// Extracted features with the ablation variant applied.
+  AdapTrajFeatures Features(const AdapTrajModel& model, const models::EncodeResult& enc,
+                            const std::vector<int>& labels) const;
 
-  /// Builds the Alg.-1 step loss (L_base + delta * L_ours) for one batch on
-  /// the given model replica and backpropagates it. Thread-safe across
-  /// distinct replicas (the ParallelTrainer task body).
-  void MicroBatchBackward(AdapTrajModel* model, const data::Batch& batch,
-                          const std::vector<int>& labels, float delta,
-                          Rng* rng) const;
-
-  // Construction arguments, kept to build training replicas.
-  models::BackboneKind kind_;
-  models::BackboneConfig backbone_config_;
   AdapTrajConfig model_config_;
-  uint64_t init_seed_;
-
-  std::unique_ptr<AdapTrajModel> model_;
-  /// Replica models for the scene-parallel trainer, grown lazily to
-  /// accum_steps-1 and reused across Train() calls (their weights are
-  /// overwritten from model_ by the trainer's broadcast; caching skips the
-  /// dead re-initialization on repeated training runs).
-  std::vector<std::unique_ptr<AdapTrajModel>> train_replicas_;
   AdapTrajVariant variant_;
   AdapTrajTrainConfig schedule_;
 };

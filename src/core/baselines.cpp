@@ -1,12 +1,6 @@
 #include "core/baselines.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
-
-#include "core/parallel_trainer.h"
-#include "core/predict_plan.h"
-#include "nn/optimizer.h"
 
 namespace adaptraj {
 namespace core {
@@ -26,333 +20,82 @@ data::Batch CounterfactualBatch(const data::Batch& batch) {
 
 namespace {
 
-/// Baseline replica factory: a fresh backbone from the stored construction
-/// arguments (weights are overwritten by the trainer's broadcast).
-std::unique_ptr<models::Backbone> MakeReplica(models::BackboneKind kind,
-                                              const models::BackboneConfig& config,
-                                              uint64_t init_seed) {
-  Rng rng(init_seed);
-  return models::MakeBackbone(kind, config, &rng);
+/// A baseline's model tree: the bare backbone, without AdapTraj conditioning.
+BackboneModelFactory BareBackbone(models::BackboneKind kind,
+                                  models::BackboneConfig config) {
+  config.extra_dim = 0;
+  return [kind, config](Rng* rng) {
+    std::unique_ptr<models::Backbone> backbone = models::MakeBackbone(kind, config, rng);
+    BackboneModel model;
+    model.backbone = backbone.get();
+    model.root = std::move(backbone);
+    return model;
+  };
 }
 
 }  // namespace
 
 VanillaMethod::VanillaMethod(models::BackboneKind kind,
                              const models::BackboneConfig& config, uint64_t init_seed)
-    : kind_(kind), config_(config), init_seed_(init_seed) {
-  Rng rng(init_seed);
-  config_.extra_dim = 0;
-  backbone_ = models::MakeBackbone(kind, config_, &rng);
-  // Methods serve in inference mode unless a Train() is in flight — also
-  // for models restored via LoadParameters, which never pass through Train().
-  backbone_->eval();
-}
+    : BackboneMethod(kind, config, init_seed, BareBackbone(kind, config)) {}
 
-void VanillaMethod::Train(const data::DomainGeneralizationData& dgd,
-                          const TrainConfig& config) {
-  nn::Adam opt(config.lr);
-  opt.AddGroup(backbone_->Parameters());
-  ReplicaTrainer<models::Backbone> rt = MakeReplicaTrainer(
-      backbone_.get(), &train_replicas_, &opt, config.accum_steps,
-      config.grad_clip,
-      [this] { return MakeReplica(kind_, config_, init_seed_); });
-  ParallelTrainer& trainer = *rt.trainer;
-  for (models::Backbone* m : rt.models) m->train();
-
-  data::SequenceConfig seq_cfg;
-  data::BatchLoader loader(&dgd.pooled_train, config.batch_size, seq_cfg,
-                           config.seed + 1, /*shuffle=*/true);
-  uint64_t task_index = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    loader.Reset();
-    data::Batch batch;
-    int batches = 0;
-    while (loader.Next(&batch)) {
-      if (config.max_batches_per_epoch > 0 && batches >= config.max_batches_per_epoch) {
-        break;
-      }
-      const uint64_t seed = TaskSeed(config.seed, task_index++);
-      trainer.Submit([&rt, batch, seed](int slot) {
-        Rng rng(seed);
-        models::Backbone* bb = rt.models[slot];
-        models::EncodeResult enc = bb->Encode(batch);
-        bb->Loss(batch, enc, Tensor(), &rng).Backward();
-      });
-      ++batches;
-    }
-    trainer.Flush();
-  }
-  trainer.Flush();
-  for (models::Backbone* m : rt.models) m->eval();
-  plan_cache_.Invalidate();  // fused plans packed the pre-training weights
-  BumpWeightsVersion();      // serving-side encoder caches must drop too
-}
-
-Tensor VanillaMethod::Predict(const data::Batch& batch, Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, PredictPlanKey(batch, sample),
-                               PredictPlanInputs(batch), rng);
-  if (session.CanReplay()) return session.Replay();
-  models::EncodeResult enc = backbone_->Encode(batch);
-  return session.Finish(backbone_->Predict(batch, enc, Tensor(), rng, sample));
-}
-
-int64_t VanillaMethod::predict_encode_width() const {
-  return backbone_->config().hidden_dim + backbone_->config().social_dim;
-}
-
-Tensor VanillaMethod::PredictEncode(const data::Batch& batch) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, EncodePlanKey(batch),
-                               PredictPlanInputs(batch), /*rng=*/nullptr);
-  if (session.CanReplay()) return session.Replay();
-  return session.Finish(PackEncodeResult(backbone_->Encode(batch)));
-}
-
-Tensor VanillaMethod::PredictDecode(const data::Batch& batch, const Tensor& enc_rows,
-                                    Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, DecodePlanKey(batch, sample),
-                               DecodePlanInputs(batch, enc_rows), rng);
-  if (session.CanReplay()) return session.Replay();
-  models::EncodeResult enc =
-      UnpackEncodeResult(enc_rows, backbone_->config().hidden_dim);
-  return session.Finish(backbone_->Predict(batch, enc, Tensor(), rng, sample));
-}
-
-std::unique_ptr<Method> VanillaMethod::CloneForServing() const {
-  // Same construction path as a training replica (stored ctor args), then the
-  // served weights overwrite the fresh initialization.
-  auto clone = std::make_unique<VanillaMethod>(kind_, config_, init_seed_);
-  clone->backbone_->CopyParametersFrom(*backbone_);
-  return clone;
+std::unique_ptr<BackboneMethod> VanillaMethod::NewInstance() const {
+  return std::make_unique<VanillaMethod>(kind_, config_, init_seed_);
 }
 
 CounterMethod::CounterMethod(models::BackboneKind kind,
                              const models::BackboneConfig& config, uint64_t init_seed)
-    : kind_(kind), config_(config), init_seed_(init_seed) {
-  Rng rng(init_seed);
-  config_.extra_dim = 0;
-  backbone_ = models::MakeBackbone(kind, config_, &rng);
-  backbone_->eval();  // see VanillaMethod: serve in inference mode by default
-}
+    : BackboneMethod(kind, config, init_seed, BareBackbone(kind, config)) {}
 
-void CounterMethod::Train(const data::DomainGeneralizationData& dgd,
-                          const TrainConfig& config) {
-  nn::Adam opt(config.lr);
-  opt.AddGroup(backbone_->Parameters());
-  ReplicaTrainer<models::Backbone> rt = MakeReplicaTrainer(
-      backbone_.get(), &train_replicas_, &opt, config.accum_steps,
-      config.grad_clip,
-      [this] { return MakeReplica(kind_, config_, init_seed_); });
-  ParallelTrainer& trainer = *rt.trainer;
-  for (models::Backbone* m : rt.models) m->train();
-
-  data::SequenceConfig seq_cfg;
-  data::BatchLoader loader(&dgd.pooled_train, config.batch_size, seq_cfg,
-                           config.seed + 1, /*shuffle=*/true);
-  uint64_t task_index = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    loader.Reset();
-    data::Batch batch;
-    int batches = 0;
-    while (loader.Next(&batch)) {
-      if (config.max_batches_per_epoch > 0 && batches >= config.max_batches_per_epoch) {
-        break;
-      }
-      // Counterfactual intervention: external factors removed everywhere.
-      data::Batch cf = CounterfactualBatch(batch);
-      const uint64_t seed = TaskSeed(config.seed, task_index++);
-      trainer.Submit([&rt, cf, seed](int slot) {
-        Rng rng(seed);
-        models::Backbone* bb = rt.models[slot];
-        models::EncodeResult enc = bb->Encode(cf);
-        bb->Loss(cf, enc, Tensor(), &rng).Backward();
-      });
-      ++batches;
-    }
-    trainer.Flush();
-  }
-  trainer.Flush();
-  for (models::Backbone* m : rt.models) m->eval();
-  plan_cache_.Invalidate();  // fused plans packed the pre-training weights
-  BumpWeightsVersion();      // serving-side encoder caches must drop too
-}
-
-Tensor CounterMethod::Predict(const data::Batch& batch, Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, PredictPlanKey(batch, sample),
-                               PredictPlanInputs(batch), rng);
-  if (session.CanReplay()) return session.Replay();
-  // The counterfactual neighbor fields are fresh Zeros tensors each call;
-  // a capture retains them as external all-zero constants, which replays
-  // bit-identically (their contents never depend on the batch).
-  data::Batch cf = CounterfactualBatch(batch);
-  models::EncodeResult enc = backbone_->Encode(cf);
-  return session.Finish(backbone_->Predict(cf, enc, Tensor(), rng, sample));
-}
-
-int64_t CounterMethod::predict_encode_width() const {
-  return backbone_->config().hidden_dim + backbone_->config().social_dim;
-}
-
-Tensor CounterMethod::PredictEncode(const data::Batch& batch) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, EncodePlanKey(batch),
-                               PredictPlanInputs(batch), /*rng=*/nullptr);
-  if (session.CanReplay()) return session.Replay();
-  // Encode the counterfactual scene, mirroring Predict. The output depends
-  // only on the focal history (encode_reads_neighbors() is false).
-  data::Batch cf = CounterfactualBatch(batch);
-  return session.Finish(PackEncodeResult(backbone_->Encode(cf)));
-}
-
-Tensor CounterMethod::PredictDecode(const data::Batch& batch, const Tensor& enc_rows,
-                                    Rng* rng, bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, DecodePlanKey(batch, sample),
-                               DecodePlanInputs(batch, enc_rows), rng);
-  if (session.CanReplay()) return session.Replay();
-  // The combined Predict decodes the counterfactual batch, so the split
-  // decode must too — its zeroed fields replay as all-zero constants.
-  data::Batch cf = CounterfactualBatch(batch);
-  models::EncodeResult enc =
-      UnpackEncodeResult(enc_rows, backbone_->config().hidden_dim);
-  return session.Finish(backbone_->Predict(cf, enc, Tensor(), rng, sample));
-}
-
-std::unique_ptr<Method> CounterMethod::CloneForServing() const {
-  auto clone = std::make_unique<CounterMethod>(kind_, config_, init_seed_);
-  clone->backbone_->CopyParametersFrom(*backbone_);
-  return clone;
+std::unique_ptr<BackboneMethod> CounterMethod::NewInstance() const {
+  return std::make_unique<CounterMethod>(kind_, config_, init_seed_);
 }
 
 CausalMotionMethod::CausalMotionMethod(models::BackboneKind kind,
                                        const models::BackboneConfig& config,
                                        uint64_t init_seed, float invariance_weight)
-    : kind_(kind),
-      config_(config),
-      init_seed_(init_seed),
-      invariance_weight_(invariance_weight) {
-  Rng rng(init_seed);
-  config_.extra_dim = 0;
-  backbone_ = models::MakeBackbone(kind, config_, &rng);
-  backbone_->eval();  // see VanillaMethod: serve in inference mode by default
-}
+    : BackboneMethod(kind, config, init_seed, BareBackbone(kind, config)),
+      invariance_weight_(invariance_weight) {}
 
-void CausalMotionMethod::Train(const data::DomainGeneralizationData& dgd,
-                               const TrainConfig& config) {
-  nn::Adam opt(config.lr);
-  opt.AddGroup(backbone_->Parameters());
-  ReplicaTrainer<models::Backbone> rt = MakeReplicaTrainer(
-      backbone_.get(), &train_replicas_, &opt, config.accum_steps,
-      config.grad_clip,
-      [this] { return MakeReplica(kind_, config_, init_seed_); });
-  ParallelTrainer& trainer = *rt.trainer;
-  for (models::Backbone* m : rt.models) m->train();
-
-  data::SequenceConfig seq_cfg;
-
-  // One loader per source domain: the invariance penalty needs per-domain
-  // risks within each micro-batch task, so a task carries one batch group
-  // (one batch per domain) and builds the coupled V-REx loss on its replica.
-  std::vector<std::unique_ptr<data::BatchLoader>> loaders;
-  for (const auto& source : dgd.sources) {
-    loaders.push_back(std::make_unique<data::BatchLoader>(
-        &source.train, config.batch_size, seq_cfg, config.seed + loaders.size(),
-        /*shuffle=*/true));
+void CausalMotionMethod::Schedule(const data::DomainGeneralizationData& dgd,
+                                  TrainLoop* loop) const {
+  // The invariance penalty needs per-domain risks within each micro-batch,
+  // so one micro-batch carries one batch from each source domain.
+  std::vector<data::BatchLoader> loaders;
+  for (size_t k = 0; k < dgd.sources.size(); ++k) {
+    loaders.push_back(loop->Loader(dgd.sources[k].train, k));
   }
-
-  const float weight = invariance_weight_;
-  uint64_t task_index = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    for (auto& loader : loaders) loader->Reset();
-    int batches = 0;
-    bool any = true;
-    while (any) {
-      if (config.max_batches_per_epoch > 0 && batches >= config.max_batches_per_epoch) {
-        break;
-      }
-      any = false;
-      std::vector<data::Batch> group;
-      for (auto& loader : loaders) {
-        data::Batch batch;
-        if (!loader->Next(&batch)) continue;
-        any = true;
-        group.push_back(batch);
-      }
-      if (group.empty()) break;
-      const uint64_t seed = TaskSeed(config.seed, task_index++);
-      trainer.Submit([&rt, group = std::move(group), weight, seed](int slot) {
-        Rng rng(seed);
-        models::Backbone* bb = rt.models[slot];
-        std::vector<Tensor> risks;
-        for (const data::Batch& batch : group) {
-          models::EncodeResult enc = bb->Encode(batch);
-          risks.push_back(bb->Loss(batch, enc, Tensor(), &rng));
-        }
-        // Mean risk + V-REx variance penalty across domains.
-        Tensor mean_risk = risks[0];
-        for (size_t i = 1; i < risks.size(); ++i) mean_risk = Add(mean_risk, risks[i]);
-        mean_risk = MulScalar(mean_risk, 1.0f / static_cast<float>(risks.size()));
-        Tensor loss = mean_risk;
-        if (risks.size() > 1) {
-          Tensor var = Tensor::Scalar(0.0f);
-          for (const Tensor& r : risks) var = Add(var, Square(Sub(r, mean_risk)));
-          var = MulScalar(var, 1.0f / static_cast<float>(risks.size()));
-          loss = Add(loss, MulScalar(var, weight));
-        }
-        loss.Backward();
-      });
-      ++batches;
-    }
-    trainer.Flush();
+  std::vector<data::BatchLoader*> all;
+  for (data::BatchLoader& loader : loaders) all.push_back(&loader);
+  for (int epoch = 0; epoch < loop->config().epochs; ++epoch) {
+    loop->Pass(all);
+    loop->Flush();
   }
-  trainer.Flush();
-  for (models::Backbone* m : rt.models) m->eval();
-  plan_cache_.Invalidate();  // fused plans packed the pre-training weights
-  BumpWeightsVersion();      // serving-side encoder caches must drop too
 }
 
-Tensor CausalMotionMethod::Predict(const data::Batch& batch, Rng* rng,
-                                   bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, PredictPlanKey(batch, sample),
-                               PredictPlanInputs(batch), rng);
-  if (session.CanReplay()) return session.Replay();
-  models::EncodeResult enc = backbone_->Encode(batch);
-  return session.Finish(backbone_->Predict(batch, enc, Tensor(), rng, sample));
+Tensor CausalMotionMethod::MicroBatchLoss(const BackboneModel& model,
+                                          const MicroBatch& mb, Rng* rng) const {
+  std::vector<Tensor> risks;
+  for (const data::Batch& batch : mb.batches) {
+    risks.push_back(BackboneLoss(model, batch, rng));
+  }
+  // Mean risk + V-REx variance penalty across domains.
+  Tensor mean_risk = risks[0];
+  for (size_t i = 1; i < risks.size(); ++i) mean_risk = Add(mean_risk, risks[i]);
+  mean_risk = MulScalar(mean_risk, 1.0f / static_cast<float>(risks.size()));
+  Tensor loss = mean_risk;
+  if (risks.size() > 1) {
+    Tensor var = Tensor::Scalar(0.0f);
+    for (const Tensor& r : risks) var = Add(var, Square(Sub(r, mean_risk)));
+    var = MulScalar(var, 1.0f / static_cast<float>(risks.size()));
+    loss = Add(loss, MulScalar(var, invariance_weight_));
+  }
+  return loss;
 }
 
-int64_t CausalMotionMethod::predict_encode_width() const {
-  return backbone_->config().hidden_dim + backbone_->config().social_dim;
-}
-
-Tensor CausalMotionMethod::PredictEncode(const data::Batch& batch) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, EncodePlanKey(batch),
-                               PredictPlanInputs(batch), /*rng=*/nullptr);
-  if (session.CanReplay()) return session.Replay();
-  return session.Finish(PackEncodeResult(backbone_->Encode(batch)));
-}
-
-Tensor CausalMotionMethod::PredictDecode(const data::Batch& batch,
-                                         const Tensor& enc_rows, Rng* rng,
-                                         bool sample) const {
-  NoGradGuard no_grad;
-  plan::PredictSession session(&plan_cache_, DecodePlanKey(batch, sample),
-                               DecodePlanInputs(batch, enc_rows), rng);
-  if (session.CanReplay()) return session.Replay();
-  models::EncodeResult enc =
-      UnpackEncodeResult(enc_rows, backbone_->config().hidden_dim);
-  return session.Finish(backbone_->Predict(batch, enc, Tensor(), rng, sample));
-}
-
-std::unique_ptr<Method> CausalMotionMethod::CloneForServing() const {
-  auto clone = std::make_unique<CausalMotionMethod>(kind_, config_, init_seed_,
-                                                    invariance_weight_);
-  clone->backbone_->CopyParametersFrom(*backbone_);
-  return clone;
+std::unique_ptr<BackboneMethod> CausalMotionMethod::NewInstance() const {
+  return std::make_unique<CausalMotionMethod>(kind_, config_, init_seed_,
+                                              invariance_weight_);
 }
 
 }  // namespace core

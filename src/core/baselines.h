@@ -10,10 +10,10 @@
 #define ADAPTRAJ_CORE_BASELINES_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "core/method.h"
-#include "models/backbone.h"
+#include "core/backbone_method.h"
 
 namespace adaptraj {
 namespace core {
@@ -23,32 +23,15 @@ namespace core {
 data::Batch CounterfactualBatch(const data::Batch& batch);
 
 /// Backbone trained on pooled multi-source data with its own loss.
-class VanillaMethod : public Method {
+class VanillaMethod : public BackboneMethod {
  public:
   VanillaMethod(models::BackboneKind kind, const models::BackboneConfig& config,
                 uint64_t init_seed);
 
   std::string name() const override { return "vanilla"; }
-  void Train(const data::DomainGeneralizationData& dgd,
-             const TrainConfig& config) override;
-  Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override;
-  int64_t predict_encode_width() const override;
-  Tensor PredictEncode(const data::Batch& batch) const override;
-  Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
-                       bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
-  std::unique_ptr<Method> CloneForServing() const override;
 
-  models::Backbone& backbone() { return *backbone_; }
-  const models::Backbone& backbone() const { return *backbone_; }
-
- private:
-  models::BackboneKind kind_;
-  models::BackboneConfig config_;
-  uint64_t init_seed_;
-  std::unique_ptr<models::Backbone> backbone_;
-  /// Cached scene-parallel training replicas (see MakeBackboneSlots).
-  std::vector<std::unique_ptr<models::Backbone>> train_replicas_;
+ protected:
+  std::unique_ptr<BackboneMethod> NewInstance() const override;
 };
 
 /// Counterfactual baseline: both training and inference replace the scene
@@ -56,62 +39,45 @@ class VanillaMethod : public Method {
 /// on the focal agent's own history. This removes environment bias at the
 /// cost of all legitimate interaction signal - the failure mode the paper
 /// demonstrates in multi-source settings (Tabs. III-IV).
-class CounterMethod : public Method {
+class CounterMethod : public BackboneMethod {
  public:
   CounterMethod(models::BackboneKind kind, const models::BackboneConfig& config,
                 uint64_t init_seed);
 
   std::string name() const override { return "Counter"; }
-  void Train(const data::DomainGeneralizationData& dgd,
-             const TrainConfig& config) override;
-  Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override;
-  int64_t predict_encode_width() const override;
   /// Counter encodes the counterfactual scene (neighbors zeroed), so the
   /// encoder output never depends on the batch's neighbor fields: a content
   /// cache can key on the focal history alone.
   bool encode_reads_neighbors() const override { return false; }
-  Tensor PredictEncode(const data::Batch& batch) const override;
-  Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
-                       bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
-  std::unique_ptr<Method> CloneForServing() const override;
 
- private:
-  models::BackboneKind kind_;
-  models::BackboneConfig config_;
-  uint64_t init_seed_;
-  std::unique_ptr<models::Backbone> backbone_;
-  /// Cached scene-parallel training replicas (see MakeBackboneSlots).
-  std::vector<std::unique_ptr<models::Backbone>> train_replicas_;
+ protected:
+  data::Batch BackboneInput(const data::Batch& batch) const override {
+    return CounterfactualBatch(batch);
+  }
+  std::unique_ptr<BackboneMethod> NewInstance() const override;
 };
 
 /// Invariance-loss baseline: per-domain empirical risks plus a strong
 /// penalty on their variance across source domains. With a single source
 /// the penalty vanishes; with several sources it suppresses domain-specific
 /// signal and induces the negative-transfer degradation of Tab. III.
-class CausalMotionMethod : public Method {
+class CausalMotionMethod : public BackboneMethod {
  public:
   CausalMotionMethod(models::BackboneKind kind, const models::BackboneConfig& config,
                      uint64_t init_seed, float invariance_weight = 10.0f);
 
   std::string name() const override { return "CausalMotion"; }
-  void Train(const data::DomainGeneralizationData& dgd,
-             const TrainConfig& config) override;
-  Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const override;
-  int64_t predict_encode_width() const override;
-  Tensor PredictEncode(const data::Batch& batch) const override;
-  Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
-                       bool sample) const override;
-  bool reentrant_predict() const override { return backbone_->reentrant_predict(); }
-  std::unique_ptr<Method> CloneForServing() const override;
+
+ protected:
+  /// Mean per-domain risk plus the V-REx variance penalty.
+  Tensor MicroBatchLoss(const BackboneModel& model, const MicroBatch& mb,
+                        Rng* rng) const override;
+  /// Each micro-batch is one batch per source domain (loader seed + k).
+  void Schedule(const data::DomainGeneralizationData& dgd,
+                TrainLoop* loop) const override;
+  std::unique_ptr<BackboneMethod> NewInstance() const override;
 
  private:
-  models::BackboneKind kind_;
-  models::BackboneConfig config_;
-  uint64_t init_seed_;
-  std::unique_ptr<models::Backbone> backbone_;
-  /// Cached scene-parallel training replicas (see MakeBackboneSlots).
-  std::vector<std::unique_ptr<models::Backbone>> train_replicas_;
   float invariance_weight_;
 };
 

@@ -34,9 +34,10 @@ struct TrainConfig {
   int accum_steps = 4;
 };
 
-/// A trained trajectory predictor. Implementations wrap a backbone and the
-/// learning method's inference-time recipe (e.g. Counter's counterfactual
-/// masking, AdapTraj's feature extraction).
+/// A trained trajectory predictor. The built-in methods derive from
+/// core::BackboneMethod (core/backbone_method.h), which wraps a backbone and
+/// the method's recipe (e.g. Counter's counterfactual masking, AdapTraj's
+/// feature extraction).
 class Method {
  public:
   virtual ~Method() = default;
@@ -54,23 +55,24 @@ class Method {
   ///
   /// Inference contract: the body runs under NoGradGuard — no autograd graph
   /// is recorded and the outputs are bit-identical to a grad-mode forward
-  /// pass (asserted by tests/core/test_inference_mode.cpp).
+  /// pass (asserted by tests/core/test_inference_mode.cpp). Methods with the
+  /// encode/decode split define it as the composition of the two halves.
   virtual Tensor Predict(const data::Batch& batch, Rng* rng, bool sample) const = 0;
 
   // --- Encode/decode split (cross-request encoder caching) -------------------
   //
-  // Methods that can split Predict at the backbone's Encode seam expose the
-  // two halves so serve::InferenceEngine's encoder cache (serve/
-  // encode_cache.h) can gather cached encoder rows and run Encode only for
-  // the rows it has never seen. The contract, for any batch and rng:
+  // Methods that split at the backbone's Encode seam expose the two halves
+  // so serve::InferenceEngine's encoder cache (serve/encode_cache.h) can
+  // gather cached encoder rows and run Encode only for the rows it has
+  // never seen. Such a method's Predict is, for any batch and rng,
   //
-  //   PredictDecode(batch, PredictEncode(batch), rng, sample)
-  //       == Predict(batch, rng, sample)     (bit-identical)
+  //   Predict(batch, rng, sample)
+  //       == PredictDecode(batch, PredictEncode(batch), rng, sample)
   //
-  // and PredictEncode is rng-free with row r a pure function of row r's
-  // input bytes (at a fixed neighbor-slot width M), so rows computed in
-  // different batches are interchangeable. All rng draws happen in the
-  // decode half, in the same stream order as the combined Predict.
+  // (BackboneMethod::Predict is literally that call), and PredictEncode is
+  // rng-free with row r a pure function of row r's input bytes (at a fixed
+  // neighbor-slot width M), so rows computed in different batches are
+  // interchangeable. All rng draws happen in the decode half.
 
   /// Column count of PredictEncode's packed output (hidden_dim +
   /// social_dim for the built-in methods). 0 — the default — means the
@@ -110,11 +112,12 @@ class Method {
     return weights_version_.load(std::memory_order_acquire);
   }
 
-  /// True when concurrent Predict() calls on this instance are safe (see
-  /// models::Backbone::reentrant_predict). Every built-in method is; the
-  /// contract stays for external methods. serve::InferenceEngine runs
-  /// non-reentrant methods on private replicas (CloneForServing) — or one
-  /// batch at a time when the method is not clonable.
+  /// True when concurrent Predict() calls on this instance are safe. Every
+  /// built-in method is: forward passes only read parameters and allocate
+  /// from thread-local pools. The contract stays for external methods.
+  /// serve::InferenceEngine runs non-reentrant methods on private replicas
+  /// (CloneForServing) — or one batch at a time when the method is not
+  /// clonable.
   virtual bool reentrant_predict() const { return true; }
 
   /// Builds an independent serving replica: a structurally identical model
@@ -135,8 +138,8 @@ class Method {
   plan::CacheStats plan_stats() const { return plan_cache_.stats(); }
 
  protected:
-  /// Per-instance plan store. Predict implementations drive it through
-  /// plan::PredictSession (core/predict_plan.h keys it by batch shape);
+  /// Per-instance plan store. The encode and decode halves drive it through
+  /// plan::PredictSession (core/predict_plan.h keys it by half and shape);
   /// anything that mutates parameters in place — Train, a checkpoint load
   /// into a live method — must call plan_cache_.Invalidate(), because fused
   /// GEMM steps pack weight values into the compiled plan at capture time.
@@ -146,7 +149,7 @@ class Method {
   mutable plan::PlanCache plan_cache_;
 
   /// Called beside plan_cache_.Invalidate() wherever parameters mutate in
-  /// place (the Train bodies): advances weights_version().
+  /// place (BackboneMethod::Train): advances weights_version().
   void BumpWeightsVersion() {
     weights_version_.fetch_add(1, std::memory_order_acq_rel);
   }

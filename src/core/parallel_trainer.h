@@ -35,11 +35,8 @@
 #ifndef ADAPTRAJ_CORE_PARALLEL_TRAINER_H_
 #define ADAPTRAJ_CORE_PARALLEL_TRAINER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "nn/optimizer.h"
@@ -104,44 +101,6 @@ class ParallelTrainer {
   std::vector<std::function<void(int slot)>> pending_;
   int64_t steps_ = 0;
 };
-
-/// A ParallelTrainer plus the per-slot model pointers its task bodies need.
-/// models[slot] is the replica a task submitted at that slot must run on
-/// (models[0] == the master the optimizer owns).
-template <typename Model>
-struct ReplicaTrainer {
-  std::vector<Model*> models;
-  std::unique_ptr<ParallelTrainer> trainer;
-};
-
-/// The one place the replica/trainer scaffold lives for every Train()
-/// implementation: clamps accum_steps, grows `cache` with `make_replica()`
-/// (replicas are reused across Train() calls — the trainer immediately
-/// overwrites their weights from `master`, so cached values never leak
-/// between runs), wires slot 0 to the master, and builds the trainer.
-template <typename Model, typename Factory>
-ReplicaTrainer<Model> MakeReplicaTrainer(Model* master,
-                                         std::vector<std::unique_ptr<Model>>* cache,
-                                         nn::Optimizer* opt, int accum_steps,
-                                         float grad_clip, Factory make_replica) {
-  const int accum = std::max(1, accum_steps);
-  while (static_cast<int>(cache->size()) < accum - 1) {
-    cache->push_back(make_replica());
-  }
-  ReplicaTrainer<Model> rt;
-  rt.models.push_back(master);
-  std::vector<std::vector<Tensor>> slot_params = {master->Parameters()};
-  for (int i = 1; i < accum; ++i) {
-    rt.models.push_back((*cache)[i - 1].get());
-    slot_params.push_back((*cache)[i - 1]->Parameters());
-  }
-  ParallelTrainer::Options options;
-  options.accum_steps = accum;
-  options.grad_clip = grad_clip;
-  rt.trainer =
-      std::make_unique<ParallelTrainer>(opt, std::move(slot_params), options);
-  return rt;
-}
 
 }  // namespace core
 }  // namespace adaptraj

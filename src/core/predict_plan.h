@@ -5,9 +5,9 @@
 // part of the plan format: PredictPlanInputs must list the fields in the same
 // order at capture and at replay. The key namespace is per-method (each
 // core::Method owns its own PlanCache), so keys only need to pin what makes
-// the op sequence unique for one method instance: every batch extent that
-// shapes the graph, plus the sample flag (sampling toggles the latent-draw
-// path in the decoders).
+// the op sequence unique for one method instance: which half runs, every
+// batch extent that shapes the graph, plus the sample flag (sampling toggles
+// the latent-draw path in the decoders).
 
 #ifndef ADAPTRAJ_CORE_PREDICT_PLAN_H_
 #define ADAPTRAJ_CORE_PREDICT_PLAN_H_
@@ -40,11 +40,21 @@ inline std::vector<const Tensor*> PredictPlanInputs(const data::Batch& batch) {
   return inputs;
 }
 
-/// Plan-cache key for one Predict call: every extent that shapes the op
-/// sequence, plus the sample flag.
-inline std::string PredictPlanKey(const data::Batch& batch, bool sample) {
+// --- Plan keys ----------------------------------------------------------------
+//
+// Predict is the composition PredictDecode(PredictEncode(batch)), so every
+// plan belongs to one half: "e:" keys the encoder, "d:" the decoder. A key
+// pins every extent that shapes the op sequence; the encode key drops the
+// sample flag (encoding never samples). The decode plan registers the packed
+// encoder rows as an extra rebind-input so a replay picks up whatever mix of
+// cached and fresh rows the caller gathered.
+
+/// "<half>B<batch>:M<neighbors>:o<obs_len>:p<pred_len>:s<sample>".
+inline std::string HalfPlanKey(const char* half, const data::Batch& batch,
+                               bool sample) {
   std::string key;
   key.reserve(48);
+  key += half;
   key += "B";
   key += std::to_string(batch.batch_size);
   key += ":M";
@@ -57,23 +67,14 @@ inline std::string PredictPlanKey(const data::Batch& batch, bool sample) {
   return key;
 }
 
-// --- Encode/decode split support (Method::PredictEncode/PredictDecode) ------
-//
-// The split halves plan under their own keys: "e:"/"d:" prefixes keep them
-// disjoint from each other and from the combined Predict's keys (which start
-// with "B"). The encode key drops the sample flag (encoding never samples);
-// the decode plan registers the packed encoder rows as an extra rebind-input
-// so a replay picks up whatever mix of cached and fresh rows the caller
-// gathered.
-
 /// Plan key of the encoder half.
 inline std::string EncodePlanKey(const data::Batch& batch) {
-  return "e:" + PredictPlanKey(batch, /*sample=*/false);
+  return HalfPlanKey("e:", batch, /*sample=*/false);
 }
 
 /// Plan key of the decoder half.
 inline std::string DecodePlanKey(const data::Batch& batch, bool sample) {
-  return "d:" + PredictPlanKey(batch, sample);
+  return HalfPlanKey("d:", batch, sample);
 }
 
 /// Decode-plan inputs: the batch fields plus the packed encoder rows.

@@ -94,14 +94,6 @@ class Backbone : public nn::Module {
   /// Human-readable kind.
   virtual BackboneKind kind() const = 0;
 
-  /// True when concurrent Predict() calls on one instance are safe (forward
-  /// passes only read parameters and allocate from thread-local pools). All
-  /// built-in backbones are reentrant — LBEBM's Langevin sampler uses a
-  /// closed-form energy gradient, not autograd. A backbone whose Predict
-  /// writes shared state must return false; serve::InferenceEngine then
-  /// serves it on private replicas (serve::ReplicaPool).
-  virtual bool reentrant_predict() const { return true; }
-
  protected:
   /// Returns `extra` when defined, otherwise zeros of [batch, extra_dim];
   /// null Tensor when extra_dim == 0.

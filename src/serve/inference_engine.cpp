@@ -386,12 +386,15 @@ void InferenceEngine::Drain() {
     // Out-of-order streams must be complete before the tail can be padded:
     // a hole would silently shift every later request one slot. (Expired
     // tombstones still hold their slots and count here.)
+    // Thrown before drain_until_slot_ moves, so the engine is left as it
+    // was and a later Drain succeeds once the hole is filled.
     const uint64_t first = next_batch_ * batch_size;
     const uint64_t last = pending_.rbegin()->first;
-    ADAPTRAJ_CHECK_MSG(pending_.size() == last - first + 1,
-                       "Drain with missing request ids: have "
-                           << pending_.size() << " pending in slot range ["
-                           << first << ", " << last << "]");
+    if (pending_.size() != last - first + 1) {
+      throw ServeError("Drain with missing request ids: have " +
+                       std::to_string(pending_.size()) + " pending in slot range [" +
+                       std::to_string(first) + ", " + std::to_string(last) + "]");
+    }
   }
   // Every slot submitted so far lies below next_auto_id_, so the batches to
   // wait for are exactly those below target_batch — whether still pending or

@@ -101,8 +101,10 @@
 //     futures — future.get() rethrows the original exception, the failed
 //     batch is retired (slots consumed), and the engine keeps serving later
 //     batches. The engine never wraps application errors.
+//   - A Drain over a slot hole throws ServeError from Drain itself and
+//     changes nothing; Drain again once the missing ids have arrived.
 // The library itself still reports programming errors (invalid engine
-// options, a Drain over a slot hole) via ADAPTRAJ_CHECK, which aborts.
+// options) via ADAPTRAJ_CHECK, which aborts.
 //
 // Admission control: `max_queued_requests` bounds the pending queue (0 =
 // unbounded, the legacy behaviour). On overflow, OverflowPolicy::kShed fails
@@ -184,7 +186,7 @@
 // are byte-identical). The cache invalidates when the served master's
 // weights_version moves (an in-place Train) and at every SwapWeights flip.
 // Methods without the split (e.g. fault-injection wrappers) serve through
-// the combined Predict, cache or no cache.
+// Method::Predict, cache or no cache.
 //
 // Memory: per-request results are materialized as independent [1,
 // pred_len*2] tensors (ops::Slice copies rows into fresh storage and no-grad
@@ -388,11 +390,12 @@ class InferenceEngine {
   /// blocks until every batch holding a slot submitted before this call has
   /// completed, so every such request has its future ready (fulfilled or
   /// failed). Batches formed from later submissions are not waited for, so
-  /// a Drain returns under sustained traffic. All slots up to the highest submitted one
-  /// must be present (a gap in an out-of-order stream is a checked error),
-  /// so quiesce explicit-id producers — join them, or otherwise ensure their
-  /// slot ranges are complete — before calling Drain: a strided producer
-  /// caught mid-stream leaves transient holes. Implicit-id producers assign
+  /// a Drain returns under sustained traffic. All slots up to the highest
+  /// submitted one must be present (a gap in an out-of-order stream throws
+  /// ServeError and leaves the engine unchanged), so quiesce explicit-id
+  /// producers — join them, or otherwise ensure their slot ranges are
+  /// complete — before calling Drain: a strided producer caught mid-stream
+  /// leaves transient holes. Implicit-id producers assign
   /// contiguous slots under the engine mutex and can never create a hole, so
   /// Drain may race them freely (which of their requests land before the
   /// flush is then timing-dependent, as the file comment describes).
@@ -540,7 +543,7 @@ class InferenceEngine {
   /// Predict with the encoder cache in front of the Encode half: gathers
   /// cached rows, encodes only unseen rows (in a sub-batch padded to the
   /// full batch's neighbor-slot width), and decodes the full batch. Falls
-  /// back to the combined Predict when the cache is off. `slots` is the
+  /// back to Method::Predict when the cache is off. `slots` is the
   /// padded scene-pointer row list the batch was built from.
   Tensor PredictThroughCache(const data::Batch& batch,
                              const std::vector<const data::TrajectorySequence*>& slots,

@@ -143,6 +143,11 @@ void ReleaseBuffer(FloatBuffer&& buf) {
   ThreadPool& pool = LocalPool();
   // Oversized for the pool outright: let it free on scope exit.
   if (static_cast<int64_t>(buf.capacity()) > kMaxPoolFloats) return;
+  // Far larger than the tensor it held: a best-fit acquire took it, often on
+  // another thread (a served request row carries off a serving worker's
+  // decode-plan arena). Cached under its capacity it would hold memory no
+  // acquire on this thread asked for, so let it free too.
+  if (buf.capacity() > 2 * buf.size() + 64) return;
   // Under cap pressure, displace the least-recently-used size rather than
   // refusing: a refused release would let one workload's stale shapes pin
   // the pool at the cap indefinitely while every later acquire misses.

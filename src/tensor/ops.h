@@ -9,9 +9,9 @@
 // identical forward arithmetic (bit-for-bit equal outputs to the grad-mode
 // path), and intermediates are not retained by any graph, so they return to
 // the thread-local buffer pool as soon as their handle goes out of scope.
-// Calling Backward() on a result produced under no-grad is a checked error.
-// Code that needs gradients inside a no-grad call opens an EnableGradGuard
-// island around just the differentiated region.
+// Calling Backward() on a result produced under no-grad is a checked error;
+// a gradient a no-grad call needs is computed in closed form from no-grad
+// ops (as LBEBM's Langevin sampler does).
 //
 // Shape conventions: MatMul/Transpose are 2-D and BatchMatMul is 3-D;
 // elementwise ops require equal shapes; the Broadcast* variants accept a

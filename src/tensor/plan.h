@@ -33,8 +33,8 @@
 // identically.
 //
 // Safety: capture aborts to permanent eager fallback for the key when the
-// body is not a pure traced forward — a grad-mode op (an EnableGradGuard
-// island), a Backward() call, or any op without a recording hook (detected
+// body is not a pure traced forward — a grad-mode op (e.g. under
+// ForcedGradModeGuard), a Backward() call, or any op without a recording hook (detected
 // by an op-output/step count mismatch, so new ops degrade gracefully). The
 // ADAPTRAJ_PLAN env var is the kill-switch (unset/"1"/"on" = on, "0"/"off"
 // = off, "verify" = replay AND run eager, then compare bit-exactly);

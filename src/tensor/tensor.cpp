@@ -264,8 +264,8 @@ void Tensor::Backward() {
                      "Backward() requires a scalar; got " << ShapeToString(shape()));
   ADAPTRAJ_CHECK_MSG(!impl_->no_grad_result,
                      "Backward() on a result computed under NoGradGuard; the graph "
-                     "was never recorded. Run the forward pass in grad mode (or "
-                     "inside an EnableGradGuard island) if you need gradients.");
+                     "was never recorded. Run the forward pass in grad mode if you "
+                     "need gradients.");
 
   // Iterative post-order DFS over the graph to get a topological order.
   std::vector<internal::TensorImpl*> topo;

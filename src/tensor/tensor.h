@@ -71,22 +71,6 @@ class NoGradGuard {
   bool prev_;
 };
 
-/// RAII scope re-enabling gradient recording inside a NoGradGuard — a
-/// "gradient island" for code that genuinely needs Backward() while the
-/// surrounding call runs no-grad. No built-in Predict opens one (LBEBM's
-/// Langevin sampler uses a closed-form gradient); an island inside a plan
-/// capture aborts it to permanent eager.
-class EnableGradGuard {
- public:
-  EnableGradGuard() : prev_(GradMode::SetEnabled(true)) {}
-  ~EnableGradGuard() { GradMode::SetEnabled(prev_); }
-  EnableGradGuard(const EnableGradGuard&) = delete;
-  EnableGradGuard& operator=(const EnableGradGuard&) = delete;
-
- private:
-  bool prev_;
-};
-
 /// RAII form of GradMode::SetForced — see its comment. Test/bench only.
 class ForcedGradModeGuard {
  public:

@@ -152,28 +152,31 @@ TEST_F(PlanPredictTest, ShapeAndSampleChangesMissAndCapturePerKey) {
   VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   Rng rng(11);
 
+  // Predict is encode then decode: each call touches an "e:" key (shape
+  // only) and a "d:" key (shape and sample flag).
   (void)method.Predict(b4, &rng, /*sample=*/true);
   plan::CacheStats s = method.plan_stats();
-  EXPECT_EQ(s.plans, 1);
-  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.plans, 2);
+  EXPECT_EQ(s.misses, 2);
   EXPECT_EQ(s.hits, 0);
 
-  // New batch size and new sample flag: two more keys, two more captures.
+  // A new batch size misses both halves; a new sample flag misses only the
+  // decoder and replays the B=4 encoder.
   (void)method.Predict(b2, &rng, /*sample=*/true);
   (void)method.Predict(b4, &rng, /*sample=*/false);
   s = method.plan_stats();
-  EXPECT_EQ(s.plans, 3);
-  EXPECT_EQ(s.captures, 3);
-  EXPECT_EQ(s.misses, 3);
-  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.plans, 5);
+  EXPECT_EQ(s.captures, 5);
+  EXPECT_EQ(s.misses, 5);
+  EXPECT_EQ(s.hits, 1);
 
-  // Every seen key now replays.
+  // Every seen key now replays: two hits per call.
   (void)method.Predict(b4, &rng, /*sample=*/true);
   (void)method.Predict(b2, &rng, /*sample=*/true);
   (void)method.Predict(b4, &rng, /*sample=*/false);
   s = method.plan_stats();
-  EXPECT_EQ(s.plans, 3);
-  EXPECT_EQ(s.hits, 3);
+  EXPECT_EQ(s.plans, 5);
+  EXPECT_EQ(s.hits, 7);
   EXPECT_GT(s.fused_steps, 0);
   EXPECT_GT(s.arena_bytes, 0);
 }
@@ -190,7 +193,7 @@ TEST_F(PlanPredictTest, LbebmLangevinLoopCapturesAndReplays) {
   (void)method.Predict(batch, &rng, /*sample=*/true);
   (void)method.Predict(batch, &rng, /*sample=*/true);
   plan::CacheStats s = method.plan_stats();
-  EXPECT_EQ(s.plans, 1);
+  EXPECT_EQ(s.plans, 2);  // the encoder and the Langevin decoder
   EXPECT_GE(s.captures, 1);
   EXPECT_EQ(s.aborted, 0);
   EXPECT_GE(s.hits, 1);
@@ -203,7 +206,7 @@ TEST_F(PlanPredictTest, TrainInvalidatesPackedPlans) {
   VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   Rng rng(11);
   (void)method.Predict(batch, &rng, /*sample=*/true);
-  EXPECT_EQ(method.plan_stats().plans, 1);
+  EXPECT_EQ(method.plan_stats().plans, 2);  // encoder + decoder
 
   TrainConfig tc;
   tc.epochs = 1;
@@ -224,7 +227,7 @@ TEST_F(PlanPredictTest, CloneForServingStartsWithEmptyCache) {
   VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
   Rng rng(11);
   (void)method.Predict(batch, &rng, /*sample=*/true);
-  EXPECT_EQ(method.plan_stats().plans, 1);
+  EXPECT_EQ(method.plan_stats().plans, 2);  // encoder + decoder
 
   std::unique_ptr<Method> clone = method.CloneForServing();
   ASSERT_NE(clone, nullptr);

@@ -177,46 +177,84 @@ TEST(EncodeCacheUnit, SceneKeysSeparateRowsAndNeighborWidths) {
 
 // --- Method-level split contract --------------------------------------------
 
-TEST(EncodeSplit, DecodeOfEncodeMatchesCombinedPredictBitExactly) {
+void ExpectSameBytes(const Tensor& got, const Tensor& want, const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Predict and PredictEncode against each method's recipe spelled out on
+/// its backbone: Encode then Predict, on the counterfactual batch for
+/// Counter, conditioned on the label -1 features (variant applied) for
+/// AdapTraj.
+TEST(EncodeSplit, PredictMatchesBackboneRecipeBitExactly) {
   auto scenes = Scenes(6);
   data::SequenceConfig cfg;
   std::vector<const data::TrajectorySequence*> ptrs;
   for (const auto& s : scenes) ptrs.push_back(&s);
-  data::Batch batch = data::MakeBatch(ptrs, cfg);
-
-  std::vector<std::unique_ptr<core::Method>> methods;
-  methods.push_back(std::make_unique<core::VanillaMethod>(
-      models::BackboneKind::kSeq2Seq, TinyBackbone(), 5));
-  methods.push_back(std::make_unique<core::VanillaMethod>(
-      models::BackboneKind::kPecnet, TinyBackbone(), 5));
-  methods.push_back(std::make_unique<core::VanillaMethod>(
-      models::BackboneKind::kLbebm, TinyBackbone(), 5));
-  methods.push_back(std::make_unique<core::CounterMethod>(
-      models::BackboneKind::kSeq2Seq, TinyBackbone(), 5));
-  methods.push_back(std::make_unique<core::CausalMotionMethod>(
-      models::BackboneKind::kPecnet, TinyBackbone(), 5));
+  const data::Batch batch = data::MakeBatch(ptrs, cfg);
   core::AdapTrajConfig acfg;
   acfg.feature_dim = 8;
   acfg.fused_dim = 8;
   acfg.num_source_domains = 2;
-  methods.push_back(std::make_unique<core::AdapTrajMethod>(
-      models::BackboneKind::kSeq2Seq, TinyBackbone(), acfg, 5));
 
-  for (const auto& method : methods) {
-    ASSERT_GT(method->predict_encode_width(), 0) << method->name();
-    for (bool sample : {false, true}) {
-      Rng rng_combined(99);
-      Rng rng_split(99);
-      Tensor combined = method->Predict(batch, &rng_combined, sample);
-      Tensor enc = method->PredictEncode(batch);
-      ASSERT_EQ(enc.size(0), batch.batch_size) << method->name();
-      ASSERT_EQ(enc.size(1), method->predict_encode_width()) << method->name();
-      Tensor split = method->PredictDecode(batch, enc, &rng_split, sample);
-      ASSERT_EQ(split.size(), combined.size()) << method->name();
-      EXPECT_EQ(std::memcmp(split.data(), combined.data(),
-                            static_cast<size_t>(combined.size()) * sizeof(float)),
-                0)
-          << method->name() << " sample=" << sample;
+  for (auto kind : {models::BackboneKind::kSeq2Seq, models::BackboneKind::kPecnet,
+                    models::BackboneKind::kLbebm}) {
+    core::VanillaMethod vanilla(kind, TinyBackbone(), 5);
+    core::CounterMethod counter(kind, TinyBackbone(), 5);
+    core::CausalMotionMethod causal(kind, TinyBackbone(), 5);
+    core::AdapTrajMethod adaptraj(kind, TinyBackbone(), acfg, 5);
+    core::AdapTrajMethod no_specific(kind, TinyBackbone(), acfg, 5,
+                                     core::AdapTrajVariant::kNoSpecific);
+    core::AdapTrajMethod no_invariant(kind, TinyBackbone(), acfg, 5,
+                                      core::AdapTrajVariant::kNoInvariant);
+    const data::Batch counterfactual = core::CounterfactualBatch(batch);
+    struct Case {
+      core::BackboneMethod* method;
+      const data::Batch* backbone_input;
+      core::AdapTrajMethod* adaptraj;  // null: no conditioning
+      core::AdapTrajVariant variant;
+    };
+    const std::vector<Case> cases = {
+        {&vanilla, &batch, nullptr, core::AdapTrajVariant::kFull},
+        {&counter, &counterfactual, nullptr, core::AdapTrajVariant::kFull},
+        {&causal, &batch, nullptr, core::AdapTrajVariant::kFull},
+        {&adaptraj, &batch, &adaptraj, core::AdapTrajVariant::kFull},
+        {&no_specific, &batch, &no_specific, core::AdapTrajVariant::kNoSpecific},
+        {&no_invariant, &batch, &no_invariant, core::AdapTrajVariant::kNoInvariant},
+    };
+    for (const Case& c : cases) {
+      const models::Backbone& bb = c.method->backbone();
+      NoGradGuard no_grad;
+      const models::EncodeResult enc = bb.Encode(*c.backbone_input);
+      Tensor extra;
+      if (c.adaptraj != nullptr) {
+        core::AdapTrajFeatures f = c.adaptraj->model().ExtractFeatures(
+            enc, std::vector<int>(batch.batch_size, -1));
+        if (c.variant == core::AdapTrajVariant::kNoSpecific) {
+          f.spec = Tensor::Zeros(f.spec.shape());
+        } else if (c.variant == core::AdapTrajVariant::kNoInvariant) {
+          f.inv = Tensor::Zeros(f.inv.shape());
+        }
+        extra = f.Extra();
+      }
+      std::string label = c.method->name() + "/" + models::BackboneKindName(kind);
+      if (c.adaptraj != nullptr) label += "/" + core::AdapTrajVariantName(c.variant);
+      ASSERT_EQ(c.method->predict_encode_width(), bb.config().hidden_dim +
+                                                      bb.config().social_dim)
+          << label;
+      ExpectSameBytes(c.method->PredictEncode(batch),
+                      ops::Concat({enc.h_focal, enc.pooled}, 1), label + " encode");
+      for (bool sample : {false, true}) {
+        Rng method_rng(99);
+        Rng backbone_rng(99);
+        ExpectSameBytes(
+            c.method->Predict(batch, &method_rng, sample),
+            bb.Predict(*c.backbone_input, enc, extra, &backbone_rng, sample),
+            label + (sample ? " sample" : " mean"));
+      }
     }
   }
 }

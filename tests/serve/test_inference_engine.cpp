@@ -328,15 +328,32 @@ TEST(InferenceEngineTest, NonReentrantMethodServesDeterministically) {
 
 // --- API misuse --------------------------------------------------------------
 
-TEST(InferenceEngineDeathTest, DrainWithSlotGapDies) {
-  // The engine owns live worker threads, so the default fork()-based death
-  // test could inherit a locked mutex; re-exec instead.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(InferenceEngineTest, DrainWithSlotGapThrowsAndKeepsServing) {
   core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
-  auto scenes = Scenes(1);
+  auto scenes = Scenes(5);
+  const auto reference = Serve(method, scenes, Options(/*batch_size=*/4));
+
   InferenceEngine engine(&method, Options(/*batch_size=*/4));
-  engine.Submit(2, scenes[0]);  // slots 0 and 1 never arrive
-  EXPECT_DEATH(engine.Drain(), "missing request ids");
+  std::vector<std::future<Tensor>> futures(scenes.size());
+  futures[2] = engine.Submit(2, scenes[2]);  // slots 0 and 1 not yet arrived
+  EXPECT_THROW(engine.Drain(), ServeError);
+
+  // The engine keeps serving: filling the hole completes batch 0, which
+  // runs without a Drain.
+  futures[0] = engine.Submit(0, scenes[0]);
+  futures[1] = engine.Submit(1, scenes[1]);
+  futures[3] = engine.Submit(3, scenes[3]);
+  ASSERT_EQ(futures[0].wait_for(std::chrono::seconds(30)), std::future_status::ready);
+
+  // A second Drain pads the tail; every row matches the run without a hole.
+  futures[4] = engine.Submit(4, scenes[4]);
+  engine.Drain();
+  std::vector<std::vector<float>> got;
+  for (auto& f : futures) {
+    Tensor t = f.get();
+    got.emplace_back(t.data(), t.data() + t.size());
+  }
+  ExpectAllEqual(got, reference);
 }
 
 }  // namespace

@@ -57,10 +57,10 @@ InferenceEngineOptions Options(int batch_size, uint64_t seed = 42) {
   o.batch_size = batch_size;
   o.sample = true;
   o.seed = seed;
-  // This suite asserts exact plan-cache counters for the COMBINED Predict
-  // path; the encoder cache reroutes serving through the split halves
-  // (their own "e:"/"d:" plan keys), so pin it off here. The encoder
-  // cache's plan interplay is covered by tests/serve/test_encode_cache.cpp.
+  // This suite asserts exact plan-cache counters for Predict, which runs
+  // one "e:" and one "d:" plan per batch; the encoder cache would skip
+  // encodes on hits, so pin it off here. The encoder cache's plan interplay
+  // is covered by tests/serve/test_encode_cache.cpp.
   o.encode_cache = EncodeCacheMode::kOff;
   return o;
 }
@@ -130,11 +130,12 @@ TEST_F(PlanServingTest, EngineStatsReportPlanTelemetry) {
   engine.Drain();
   for (auto& f : futures) (void)f.get();
 
-  // Four identical full batches: one capture, three replays.
+  // Four identical full batches: each half captures once and replays three
+  // times.
   InferenceEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plan.plans, 1);
-  EXPECT_EQ(stats.plan.captures, 1);
-  EXPECT_EQ(stats.plan.hits, 3);
+  EXPECT_EQ(stats.plan.plans, 2);
+  EXPECT_EQ(stats.plan.captures, 2);
+  EXPECT_EQ(stats.plan.hits, 6);
   EXPECT_GT(stats.plan.fused_steps, 0);
   EXPECT_GT(stats.plan.arena_bytes, 0);
 }
@@ -142,7 +143,8 @@ TEST_F(PlanServingTest, EngineStatsReportPlanTelemetry) {
 TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
   // A non-reentrant method runs on a replica pool; each slot owns a plan
   // cache. The rendezvous pins the first two batches to the two workers, so
-  // each slot captures once; the engine stats must sum them.
+  // each slot captures its encoder and decoder once; the engine stats must
+  // sum them.
   plan::SetMode(plan::Mode::kOn);
   parallel::ConfigureTrainWorkers(2);
   auto scenes = Scenes(8);
@@ -156,8 +158,8 @@ TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
   for (const auto& s : scenes) futures.push_back(engine.Submit(s));
   engine.Drain();
   InferenceEngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plan.plans, 2);     // one plan per replica slot
-  EXPECT_EQ(stats.plan.captures, 2);  // one capture per replica slot
+  EXPECT_EQ(stats.plan.plans, 4);     // two plans per replica slot
+  EXPECT_EQ(stats.plan.captures, 4);  // two captures per replica slot
   EXPECT_EQ(stats.plan.aborted, 0);
 
   // Whichever slot takes them, two more batches of the same shape replay.
@@ -165,8 +167,8 @@ TEST_F(PlanServingTest, EngineStatsSumAcrossReplicaSlots) {
   engine.Drain();
   for (auto& f : futures) (void)f.get();
   stats = engine.stats();
-  EXPECT_EQ(stats.plan.plans, 2);
-  EXPECT_EQ(stats.plan.hits, 2);
+  EXPECT_EQ(stats.plan.plans, 4);
+  EXPECT_EQ(stats.plan.hits, 4);
   parallel::ConfigureTrainWorkers(1);
 }
 

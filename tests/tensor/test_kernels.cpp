@@ -431,6 +431,21 @@ TEST(SimdTranscendentalsTest, FusedLstmKernelsMatchScalarPath) {
 
 // --- Buffer pool -------------------------------------------------------------
 
+TEST(KernelsTest, BufferPoolDropsBuffersFarLargerThanTheirTensor) {
+  internal::ClearBufferPool();
+  internal::ReleaseBuffer(internal::FloatBuffer(4096));
+  // Best fit hands the cached 4096-float buffer to a 100-float request...
+  internal::FloatBuffer small = internal::AcquireBuffer(100);
+  EXPECT_EQ(small.capacity(), 4096u);
+  // ...but it does not go back into the pool under its 4096 capacity.
+  internal::ReleaseBuffer(std::move(small));
+  EXPECT_EQ(internal::GetBufferPoolStats().releases, 1);
+  internal::FloatBuffer big = internal::AcquireBuffer(4096);
+  EXPECT_EQ(internal::GetBufferPoolStats().reuses, 1);
+  internal::ReleaseBuffer(std::move(big));
+  internal::ClearBufferPool();
+}
+
 TEST(KernelsTest, BufferPoolRecyclesOpOutputs) {
   internal::ClearBufferPool();
   Rng rng(13);

@@ -1,6 +1,6 @@
-// Tests for the forward-only execution mode: GradMode / NoGradGuard /
-// EnableGradGuard semantics, zero GradNode allocation, bit-identical forward
-// values, eager buffer recycling, and the Backward()-on-no-grad check.
+// Tests for the forward-only execution mode: GradMode / NoGradGuard
+// semantics, zero GradNode allocation, bit-identical forward values, eager
+// buffer recycling, and the Backward()-on-no-grad check.
 
 #include <cstring>
 
@@ -34,21 +34,6 @@ TEST(GradModeTest, EnabledByDefaultAndGuardRestores) {
     EXPECT_FALSE(GradMode::IsEnabled());
   }
   EXPECT_TRUE(GradMode::IsEnabled());
-}
-
-TEST(GradModeTest, EnableGradGuardReopensInsideNoGrad) {
-  NoGradGuard no_grad;
-  EXPECT_FALSE(GradMode::IsEnabled());
-  {
-    EnableGradGuard island;
-    EXPECT_TRUE(GradMode::IsEnabled());
-    Tensor x = Tensor::Full({2, 2}, 1.0f, /*requires_grad=*/true);
-    Tensor y = ops::Sum(ops::Square(x));
-    EXPECT_TRUE(y.needs_grad());
-    y.Backward();  // the island records a real graph
-    EXPECT_FLOAT_EQ(x.grad().flat(0), 2.0f);
-  }
-  EXPECT_FALSE(GradMode::IsEnabled());
 }
 
 TEST(GradModeTest, ForcedGradOverridesNoGradGuard) {
