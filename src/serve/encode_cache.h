@@ -173,7 +173,11 @@ class EncodeCache {
 /// scene; core::Method::encode_reads_neighbors() == false) get shorter keys
 /// and legitimately higher hit rates. Padded neighbor slots hash as their
 /// zero bytes, making M part of the key content: a scene cached at one slot
-/// width misses at another — conservative, never wrong.
+/// width misses at another — conservative, never wrong. serve::
+/// InferenceEngine builds every batch at the fixed width options.sequence.
+/// max_neighbors, so the keys it serves depend on the scene alone, not on
+/// which scenes share its batch (only a scene with more neighbors than that
+/// widens its batch and re-keys its batch mates).
 std::string SceneEncodeKey(const std::string& identity, const data::Batch& batch,
                            int64_t row, bool include_neighbors);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,33 @@ std::string SceneShapeError(const data::TrajectorySequence& scene,
              std::to_string(scene.neighbors[m].size()) +
              " points; the engine's sequence config needs obs_len = " +
              std::to_string(window_len);
+    }
+  }
+  return "";
+}
+
+/// Why the engine refuses `scene`'s observed window — the focal track's
+/// first obs_len points and every neighbor window — for holding a NaN or
+/// Inf coordinate, or "" when all of it is finite. Only the losses read the
+/// future, so a non-finite future is left alone. Call once SceneShapeError
+/// passed.
+std::string NonFiniteObservationError(const data::TrajectorySequence& scene,
+                                      const data::SequenceConfig& seq) {
+  const auto finite = [](const sim::Vec2& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  for (int t = 0; t < seq.obs_len; ++t) {
+    if (!finite(scene.focal[static_cast<size_t>(t)])) {
+      return "invalid request: observed focal point " + std::to_string(t) +
+             " is not finite";
+    }
+  }
+  for (size_t m = 0; m < scene.neighbors.size(); ++m) {
+    for (size_t t = 0; t < scene.neighbors[m].size(); ++t) {
+      if (!finite(scene.neighbors[m][t])) {
+        return "invalid request: neighbor " + std::to_string(m) + " point " +
+               std::to_string(t) + " is not finite";
+      }
     }
   }
   return "";
@@ -233,12 +261,16 @@ std::future<Tensor> InferenceEngine::SubmitImpl(bool has_explicit_id,
                                                 const data::TrajectorySequence& scene,
                                                 const SubmitOptions& submit_options) {
   // data::MakeBatch aborts on a length mismatch, so a scene that would fail
-  // its checks is refused here, before it can reach a serving worker. The
-  // check reads only the immutable options, so it runs outside mu_.
-  const std::string shape_error = SceneShapeError(scene, options_.sequence);
-  if (!shape_error.empty()) {
+  // its checks is refused here, before it can reach a serving worker; so is
+  // a non-finite observation, which would come back as a garbage result.
+  // The checks read only the immutable options, so they run outside mu_.
+  std::string input_error = SceneShapeError(scene, options_.sequence);
+  if (input_error.empty()) {
+    input_error = NonFiniteObservationError(scene, options_.sequence);
+  }
+  if (!input_error.empty()) {
     support::MutexLock lock(mu_);
-    return RejectLocked(std::make_exception_ptr(InvalidRequestError(shape_error)));
+    return RejectLocked(std::make_exception_ptr(InvalidRequestError(input_error)));
   }
   std::future<Tensor> future;
   support::CondVar* wake = nullptr;
@@ -287,13 +319,15 @@ std::future<Tensor> InferenceEngine::SubmitLocked(uint64_t request_id,
   const uint64_t first_slot = next_batch_ * batch_size;
   if (request_id < first_slot) {
     // A client-controlled id must never abort the server. With the deadline
-    // enabled this is usually an operational race — a worker retired the
-    // slot space on a timer the producer cannot observe.
+    // enabled this is usually an operational race — an idle worker or an
+    // expired deadline retired the slot space at a moment the producer
+    // cannot observe.
     if (options_.max_batch_delay_ms > 0) {
       return RejectLocked(
           "request id " + std::to_string(request_id) +
-          " arrived after its batch was already flushed (a max_batch_delay_ms "
-          "deadline flush or a concurrent Drain retired its slot range)");
+          " arrived after its batch was already flushed (an idle-engine flush "
+          "before the max_batch_delay_ms deadline, the deadline flush itself, or "
+          "a concurrent Drain retired its slot range)");
     }
     return RejectLocked("request id " + std::to_string(request_id) +
                         " belongs to batch " + std::to_string(request_id / batch_size) +
@@ -493,6 +527,11 @@ InferenceEngine::Take InferenceEngine::NextTakeLocked(Clock::time_point now,
         pending_.begin()->second.enqueue_time +
         std::chrono::milliseconds(options_.max_batch_delay_ms);
     if (now >= deadline) return Take::kDelay;
+    // Work-conserving: with nothing in flight, waiting out the deadline only
+    // leaves every worker idle, so the run goes now. Gating on an empty
+    // engine (not on a load estimate) keeps at most one underfull early
+    // batch running; while any batch runs, the deadline stays the bound.
+    if (inflight_.empty()) return Take::kIdle;
     *head_deadline = deadline;
   }
   return Take::kNone;
@@ -557,12 +596,12 @@ InferenceEngine::ReadyBatch InferenceEngine::CollectBatchLocked() {
   const uint64_t boundary = next_batch_ * batch_size;
   next_auto_id_ = std::max(next_auto_id_, boundary);
   if (rows == batch_size) return rb;  // run_end_ still bounds the run
-  // A deadline flush can pad past a slot hole in an out-of-order stream,
-  // retiring the batch of a request still pending BEHIND the hole. That
-  // request can never execute in its assigned slot: reject it through its
-  // future now, or it would hang forever (and, as pending_.begin(), anchor
-  // every future deadline at its stale enqueue time). Only the deadline
-  // path can strand: Drain refuses holes up front.
+  // An idle or deadline flush can pad past a slot hole in an out-of-order
+  // stream, retiring the batch of a request still pending BEHIND the hole.
+  // That request can never execute in its assigned slot: reject it through
+  // its future now, or it would hang forever (and, as pending_.begin(),
+  // anchor every future deadline at its stale enqueue time). Only those
+  // flushes can strand: Drain refuses holes up front.
   while (!pending_.empty() && pending_.begin()->first < boundary) {
     auto it = pending_.begin();
     if (!it->second.expired) {
@@ -570,8 +609,8 @@ InferenceEngine::ReadyBatch InferenceEngine::CollectBatchLocked() {
       ++stats_.rejected_requests;
       it->second.promise.set_exception(std::make_exception_ptr(ServeError(
           "request id " + std::to_string(it->first) +
-          " was stranded behind a slot hole when the max_batch_delay_ms "
-          "deadline flush retired its batch")));
+          " was stranded behind a slot hole when an idle-engine or "
+          "max_batch_delay_ms deadline flush retired its batch")));
     }
     pending_.erase(it);
   }
@@ -613,7 +652,12 @@ void InferenceEngine::RunOneBatch(ReadyBatch* rb, const core::Method* method,
         slots.push_back(&rb->scenes[live[pad_cursor++ % live.size()]]);
       }
     }
-    data::Batch batch = data::MakeBatch(slots, options_.sequence);
+    // One neighbor-slot width for every batch, whatever its fill: rows are
+    // byte-identical at any M, and a fixed M keeps the plan cache and the
+    // encoder-cache keys independent of which scenes share a batch. A scene
+    // with more neighbors than the config keeps still widens its batch.
+    data::Batch batch =
+        data::MakeBatch(slots, options_.sequence, options_.sequence.max_neighbors);
     Rng rng(core::TaskSeed(options_.seed, rb->index));
     Tensor pred = PredictThroughCache(batch, slots, method, master, &rng);
     rb->results.assign(rows, Tensor());
@@ -767,6 +811,7 @@ void InferenceEngine::WorkerLoop(int worker) {
     if (rb.live_rows > 0) {
       ++stats_.batches;
       if (take == Take::kDelay) ++stats_.deadline_flushes;
+      if (take == Take::kIdle) ++stats_.idle_flushes;
       stats_.batch_exec.Record(rb.exec_seconds);
       if (rb.error != nullptr) {
         ++stats_.failed_batches;

@@ -17,15 +17,20 @@
 //     the caller thread. It wakes a worker only when the submission gives a
 //     worker something to do: it completes a batch (for an out-of-order
 //     explicit id, by filling the hole that held a batch back), or — with
-//     max_batch_delay_ms set — it becomes the head of an empty queue and so
-//     starts the delay deadline. (With max_queued_requests set and
+//     max_batch_delay_ms set — it becomes the head of an empty queue, which
+//     an idle engine flushes at once and a busy one starts the delay
+//     deadline for. (With max_queued_requests set and
 //     OverflowPolicy::kBlock, Submit may block on QUEUE SPACE — that is
 //     backpressure by configuration, never a wait on model execution beyond
 //     the workers retiring queue entries.)
 //   - W persistent SERVING WORKERS own batch formation and execution. A
 //     worker takes exactly one batch — the next one in slot order — when it
-//     is full, when a Drain covers it, or when max_batch_delay_ms expired on
-//     its head request (the latter two pad an underfull tail). It expires
+//     is full, when a Drain covers it, or, with max_batch_delay_ms set, when
+//     no batch is in flight (an IDLE flush) or the delay expired on its head
+//     request (the latter three pad an underfull tail). The idle flush is
+//     work-conserving without a load estimate: it never fires while a batch
+//     runs, so at most one underfull early batch runs at a time and a busy
+//     engine still coalesces up to the deadline. It expires
 //     overdue requests first, collects the batch under the mutex, releases
 //     the mutex, runs the batch, and fulfils that batch's promises; it never
 //     waits for any other batch, so batches may complete out of order. W is
@@ -87,15 +92,18 @@
 //   - EngineStoppedError: shutdown/destruction reached the request first
 //     (or rejected a Submit/Drain/SwapWeights after shutdown).
 //   - InvalidRequestError: a scene whose focal track or neighbor windows do
-//     not match options.sequence. Checked at Submit, before the scene is
-//     queued, so it never takes a slot (an explicit id stays free for a
-//     valid resubmission) and the rest of its batch is unaffected. Counted in
-//     rejected_requests.
+//     not match options.sequence, or whose observed window (the focal
+//     track's first obs_len points and every neighbor window) holds a NaN or
+//     Inf coordinate. Checked at Submit, before the scene is queued, so it
+//     never takes a slot (an explicit id stays free for a valid
+//     resubmission) and the rest of its batch is unaffected. Counted in
+//     rejected_requests. The future is not checked: only the losses read it.
 //   - ServeError: a malformed submission — a negative timeout_ms, an
 //     explicit id that is already pending, or one whose batch already
 //     executed (with max_batch_delay_ms set, typically an id that lost the
-//     race against a deadline flush) — or an explicit id stranded behind a
-//     slot hole a deadline flush padded past. Counted in rejected_requests.
+//     race against an idle or deadline flush) — or an explicit id stranded
+//     behind a slot hole such a flush padded past. Counted in
+//     rejected_requests.
 //   - Application errors: Predict / MakeBatch / allocation failures inside a
 //     batch are caught and delivered VERBATIM to exactly that batch's
 //     futures — future.get() rethrows the original exception, the failed
@@ -150,17 +158,24 @@
 //     independent of execution interleaving, worker count, and replica slot.
 //   - A partial batch is padded to the fixed width by cycling its real
 //     scenes; padded rows are computed and discarded. Padding happens at a
-//     FLUSH POINT — a Drain, or a max_batch_delay_ms expiry — and the flush
-//     schedule is part of the request schedule: it decides that batch's
-//     composition exactly as in the PR-4 engine. With the deadline disabled
-//     (the default), flush points are the Drain calls alone and results are
-//     byte-identical to the synchronous engine for any producer count,
-//     worker count, arrival order, and execution order at a fixed seed
-//     (asserted by tests/serve/). A deadline expiry removes only the EXPIRED request's
+//     FLUSH POINT — a Drain or, with max_batch_delay_ms set, an idle engine
+//     or a delay expiry — and the flush schedule is part of the request
+//     schedule: it decides that batch's composition exactly as in the PR-4
+//     engine. With the deadline disabled (the default), flush points are
+//     the Drain calls alone and results are byte-identical to the
+//     synchronous engine for any producer count, worker count, arrival
+//     order, and execution order at a fixed seed (asserted by
+//     tests/serve/). A deadline expiry removes only the EXPIRED request's
 //     row content (its slot pads like a missing tail row); surviving rows'
 //     bytes are unchanged — each row's result depends only on its own scene,
 //     its row index, and its batch's noise stream, the same property padding
 //     has always relied on.
+//   - Every batch is built at ONE neighbor-slot width, options.sequence.
+//     max_neighbors (wider only when a scene carries more neighbors than
+//     that). A row's bytes do not depend on M (padded slots are masked out
+//     exactly; asserted per method and backbone by tests/serve/), so the
+//     width changes no result; it keeps the plan-cache keys and the
+//     encoder-cache keys from depending on which scenes share a batch.
 //   - Reentrant methods — every built-in method, LBEBM included — execute
 //     batches concurrently on the shared master model. Methods that declare
 //     themselves non-reentrant execute on a serve::ReplicaPool of private
@@ -177,11 +192,12 @@
 // (options.encode_cache, kAuto following ADAPTRAJ_ENCODE_CACHE), the engine
 // keys every batch row by its encoder-input bytes in a serve::EncodeCache
 // and runs the encoder only for rows it has never seen: cached rows are
-// gathered, miss rows are encoded in a sub-batch padded to the same
-// neighbor-slot width, and the decode half runs over the full batch. Served
-// bytes are IDENTICAL with the cache on or off — the cache stores exact
-// encoder outputs keyed by exact encoder inputs, and every kernel is
-// bit-deterministic (see serve/encode_cache.h for the correctness model).
+// gathered, miss rows are encoded in a sub-batch padded to the same (fixed,
+// see above) neighbor-slot width, and the decode half runs over the full
+// batch. Served bytes are IDENTICAL with the cache on or off — the cache
+// stores exact encoder outputs keyed by exact encoder inputs, and every
+// kernel is bit-deterministic (see serve/encode_cache.h for the
+// correctness model).
 // One cache is shared by the master and all replica clones (their weights
 // are byte-identical). The cache invalidates when the served master's
 // weights_version moves (an in-place Train) and at every SwapWeights flip.
@@ -241,11 +257,11 @@ struct InferenceEngineOptions {
   /// Window configuration used to tensorize submitted scenes.
   data::SequenceConfig sequence;
   /// Deadline flush: when > 0, a worker executes the head batch — padding
-  /// it if underfull — once the request at the head of the queue has waited
-  /// this long, so a lone request is served without a Drain. 0 (default)
-  /// disables the deadline; partial batches then wait for Drain, which
-  /// keeps batch composition independent of timing (the determinism-test
-  /// configuration).
+  /// it if underfull — at once when no batch is in flight, and otherwise
+  /// once the request at the head of the queue has waited this long, so a
+  /// lone request is served without a Drain. 0 (default) disables both;
+  /// partial batches then wait for Drain, which keeps batch composition
+  /// independent of timing (the determinism-test configuration).
   int max_batch_delay_ms = 0;
   /// Replica slots for non-reentrant methods (see serve::ReplicaPool), and
   /// so their serving-worker count. 0 = auto: the training-worker count.
@@ -297,11 +313,14 @@ struct InferenceEngineStats {
   int64_t padded_rows = 0;       // rows computed for padding and discarded
   int64_t failed_batches = 0;    // batches whose futures carry an exception
   int64_t deadline_flushes = 0;  // flushes triggered by max_batch_delay_ms
-  /// Requests refused without executing: scenes of the wrong shape
-  /// (InvalidRequestError), negative timeouts, duplicate
-  /// explicit ids, explicit ids whose batch already executed (or lost the
-  /// race against a deadline flush), ids stranded behind a padded-past slot
-  /// hole, and Submits after shutdown.
+  /// Underfull batches flushed before their deadline because no batch was
+  /// in flight (only with max_batch_delay_ms set).
+  int64_t idle_flushes = 0;
+  /// Requests refused without executing: scenes of the wrong shape or with a
+  /// non-finite observation (InvalidRequestError), negative timeouts,
+  /// duplicate explicit ids, explicit ids whose batch already executed (or
+  /// lost the race against an idle or deadline flush), ids stranded behind a
+  /// padded-past slot hole, and Submits after shutdown.
   int64_t rejected_requests = 0;
   /// Admission-control rejections (queue full, OverflowPolicy::kShed).
   int64_t shed_requests = 0;
@@ -374,11 +393,11 @@ class InferenceEngine {
   /// out of order or from several producer threads. Slots must be unique and
   /// must not precede an already executed batch; an id that breaks either
   /// rule is rejected through its future (ServeError), never by aborting.
-  /// With max_batch_delay_ms enabled a deadline flush can retire slot space
-  /// on a timer the producers cannot observe, so an id can lose that race,
-  /// and an already-pending id stranded behind a slot hole the deadline
-  /// padded past is rejected the same way. The engine holds a batch until
-  /// every one of its slots has arrived.
+  /// With max_batch_delay_ms enabled an idle or deadline flush can retire
+  /// slot space at a moment the producers cannot observe, so an id can lose
+  /// that race, and an already-pending id stranded behind a slot hole such
+  /// a flush padded past is rejected the same way. The engine holds a batch
+  /// until every one of its slots has arrived.
   std::future<Tensor> Submit(uint64_t request_id, const data::TrajectorySequence& scene)
       ADAPTRAJ_EXCLUDES(mu_);
   /// As above with per-request options (deadline).
@@ -474,8 +493,9 @@ class InferenceEngine {
     bool stuck_reported = false;
   };
 
-  /// Why a worker may take the head batch now (kNone: it may not).
-  enum class Take { kNone, kFull, kDrain, kDelay };
+  /// Why a worker may take the head batch now (kNone: it may not). kIdle:
+  /// an underfull head run before its deadline, with no batch in flight.
+  enum class Take { kNone, kFull, kDrain, kDelay, kIdle };
 
   /// Body of serving worker `worker` (0 <= worker < num_workers_).
   void WorkerLoop(int worker) ADAPTRAJ_EXCLUDES(mu_);
@@ -487,8 +507,9 @@ class InferenceEngine {
       ADAPTRAJ_EXCLUDES(mu_);
   /// Validates the slot, records the request, and returns its future. Sets
   /// `*wake` to the condition variable to notify once mu_ is released when
-  /// the submission completes a batch or becomes the delay-watched head;
-  /// leaves it untouched otherwise.
+  /// the submission completes a batch or becomes the head (taken at once by
+  /// an idle engine, delay-watched otherwise); leaves it untouched
+  /// otherwise.
   std::future<Tensor> SubmitLocked(uint64_t request_id,
                                    const data::TrajectorySequence& scene,
                                    const SubmitOptions& submit_options,

@@ -146,7 +146,10 @@ Tensor CompiledPlan::Execute(const std::vector<const Tensor*>& inputs,
         p[i] = s.external->data.data();
         break;
       case SlotDef::kArena:
-        p[i] = arena.data() + s.arena_off;
+        // A slot whose producing step was fused away or eliminated is never
+        // placed (arena_off < 0) and never read; it keeps its null pointer
+        // rather than pointing before the arena.
+        if (s.arena_off >= 0) p[i] = arena.data() + s.arena_off;
         break;
       case SlotDef::kResult:
         p[i] = rimpl->data.data();
@@ -443,8 +446,8 @@ void RunMaskedFill(ReplayCtx& c, const Step& s) {
 }
 
 void RunCopy(ReplayCtx& c, const Step& s) {
-  std::memcpy(c.p[s.out], c.p[s.in[0]],
-              static_cast<size_t>(s.n) * sizeof(float));
+  // copy_n, not memcpy: an empty batch replays with null buffers.
+  std::copy_n(c.p[s.in[0]], s.n, c.p[s.out]);
 }
 
 void RunConcat(ReplayCtx& c, const Step& s) {

@@ -23,8 +23,11 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Normal sample with the given mean and standard deviation.
+  /// Normal sample with the given mean and standard deviation. A zero
+  /// stddev returns `mean` without drawing: std::normal_distribution
+  /// requires stddev > 0.
   float Normal(float mean = 0.0f, float stddev = 1.0f) {
+    if (stddev == 0.0f) return mean;
     std::normal_distribution<float> dist(mean, stddev);
     return dist(engine_);
   }

@@ -3,7 +3,7 @@
 // thread), lossless error delivery (Predict exceptions reach exactly the
 // failed batch's futures; destruction fails — not breaks — pending
 // promises; malformed submissions are rejected through their futures), the
-// max_batch_delay_ms deadline flush, multi-producer bit-identity, the
+// max_batch_delay_ms idle and deadline flushes, multi-producer bit-identity, the
 // serving-worker count and per-worker replicas for non-reentrant methods,
 // and the per-request result-storage audit.
 
@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -187,6 +188,66 @@ class MockMethod : public core::Method {
   mutable std::atomic<int> active_on_this_instance_{0};
 };
 
+// --- Wedged real method ------------------------------------------------------
+
+/// Gate shared by a WedgedVanilla and its test: the first `held_calls`
+/// decode calls wait until `released`.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  int held_calls = 1;
+  bool released = false;
+};
+
+/// A reentrant VanillaMethod whose first decode call blocks until the gate
+/// opens: it holds one batch in flight on one worker — the engine is busy —
+/// while the other workers stay free to serve. Every served row keeps its
+/// real bytes.
+class WedgedVanilla : public core::VanillaMethod {
+ public:
+  explicit WedgedVanilla(std::shared_ptr<Gate> gate)
+      : VanillaMethod(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5),
+        gate_(std::move(gate)) {}
+
+  Tensor PredictDecode(const data::Batch& batch, const Tensor& enc_rows, Rng* rng,
+                       bool sample) const override {
+    {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      const bool held = gate_->entered++ < gate_->held_calls;
+      gate_->cv.notify_all();
+      if (held) gate_->cv.wait(lock, [this] { return gate_->released; });
+    }
+    return VanillaMethod::PredictDecode(batch, enc_rows, rng, sample);
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+void AwaitEntered(Gate* gate, int n) {
+  std::unique_lock<std::mutex> lock(gate->mu);
+  ASSERT_TRUE(gate->cv.wait_for(lock, std::chrono::seconds(10),
+                                [gate, n] { return gate->entered >= n; }))
+      << "the wedged batch never started";
+}
+
+void Release(Gate* gate) {
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->released = true;
+  }
+  gate->cv.notify_all();
+}
+
+/// Serving-worker count for one test: reentrant methods get one worker per
+/// training worker, so two workers let one batch wedge while another runs.
+class ScopedTrainWorkers {
+ public:
+  explicit ScopedTrainWorkers(int n) { parallel::ConfigureTrainWorkers(n); }
+  ~ScopedTrainWorkers() { parallel::ConfigureTrainWorkers(1); }
+};
+
 /// A scene whose first observed displacement is absurd; MockMethod throws on
 /// any batch containing one.
 data::TrajectorySequence PoisonedScene() {
@@ -260,65 +321,95 @@ TEST(AsyncEngineErrorTest, DestructionFailsPendingFuturesDescriptively) {
 }
 
 TEST(AsyncEngineErrorTest, LateExplicitIdAfterDeadlineFlushRejectedViaFuture) {
-  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  ScopedTrainWorkers two_workers(2);
+  auto gate = std::make_shared<Gate>();
+  WedgedVanilla method(gate);
   auto options = Options(/*batch_size=*/2);
   options.max_batch_delay_ms = 5;
   InferenceEngine engine(&method, options);
+  ASSERT_EQ(engine.num_workers(), 2);
   auto scenes = Scenes(2);
 
-  // A lone request at slot 0; the deadline flush pads batch 0 and thereby
-  // consumes slot 1 on a timer the producer cannot observe.
-  std::future<Tensor> f0 = engine.Submit(0, scenes[0]);
-  ASSERT_EQ(f0.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  // Batch 0 is full and wedged in flight: the engine is busy, so no idle
+  // flush fires and the second worker waits out the deadline. (Its head
+  // slot goes last, so an idle flush cannot take the run before it is
+  // whole.)
+  std::future<Tensor> w1 = engine.Submit(1, scenes[1]);
+  std::future<Tensor> w0 = engine.Submit(0, scenes[0]);
+  AwaitEntered(gate.get(), 1);
+
+  // A lone request at slot 2; the deadline flush pads batch 1 and thereby
+  // consumes slot 3 on a timer the producer cannot observe.
+  std::future<Tensor> f2 = engine.Submit(2, scenes[0]);
+  ASSERT_EQ(f2.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(engine.stats().deadline_flushes, 1);
   // The id that lost the race is rejected through its future — an
   // operational error, not the process abort the deadline-less engine
-  // reserves for caller bugs.
-  std::future<Tensor> f1 = engine.Submit(1, scenes[1]);
+  // reserves for caller bugs. The message names both early flush points.
+  std::future<Tensor> f3 = engine.Submit(3, scenes[1]);
   try {
-    f1.get();
+    f3.get();
     FAIL() << "late id should have been rejected";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("idle"), std::string::npos) << e.what();
   }
   EXPECT_EQ(engine.stats().rejected_requests, 1);
 
   // The engine keeps serving: implicit submissions continue at the next
   // batch boundary.
-  std::future<Tensor> f2 = engine.Submit(scenes[1]);
+  Release(gate.get());
+  std::future<Tensor> f4 = engine.Submit(scenes[1]);
   engine.Drain();
-  EXPECT_EQ(f2.get().shape()[0], 1);
+  EXPECT_EQ(f4.get().shape()[0], 1);
+  EXPECT_EQ(w0.get().shape()[0], 1);
+  EXPECT_EQ(w1.get().shape()[0], 1);
 }
 
 TEST(AsyncEngineErrorTest, PendingIdStrandedByDeadlineFlushRejectedViaFuture) {
-  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  ScopedTrainWorkers two_workers(2);
+  auto gate = std::make_shared<Gate>();
+  WedgedVanilla method(gate);
   auto options = Options(/*batch_size=*/4);
   options.max_batch_delay_ms = 10;
   InferenceEngine engine(&method, options);
-  auto scenes = Scenes(2);
+  ASSERT_EQ(engine.num_workers(), 2);
+  auto scenes = Scenes(4);
 
-  // Slots 0 and 2 arrive; slot 1 never does. The deadline flush pads batch 0
-  // from the contiguous head (slot 0 alone) and retires slots [0, 4) — the
-  // request already pending at slot 2 can then never execute in its batch
-  // and must be rejected, not left hanging (nor allowed to anchor future
-  // deadlines at its stale enqueue time).
-  std::future<Tensor> f0 = engine.Submit(0, scenes[0]);
-  std::future<Tensor> f2 = engine.Submit(2, scenes[1]);
-  ASSERT_EQ(f0.wait_for(std::chrono::seconds(10)), std::future_status::ready);
-  ASSERT_EQ(f2.wait_for(std::chrono::seconds(10)), std::future_status::ready);
-  EXPECT_EQ(f0.get().shape()[0], 1);
+  // Batch 0 (slots 0-3) is full and wedged in flight, so the engine is
+  // busy. Its head slot goes last, so the run forms whole.
+  std::vector<std::future<Tensor>> wedged;
+  for (uint64_t id = 4; id-- > 0;) wedged.push_back(engine.Submit(id, scenes[id]));
+  AwaitEntered(gate.get(), 1);
+
+  // Slots 6 and then 4 arrive; slot 5 never does. The deadline flush pads
+  // batch 1 from the contiguous head (slot 4 alone) and retires slots
+  // [4, 8) — the request already pending at slot 6 can then never execute
+  // in its batch and must be rejected, not left hanging (nor allowed to
+  // anchor future deadlines at its stale enqueue time). Slot 6 goes first
+  // so that it is pending before the head's deadline can start.
+  std::future<Tensor> f6 = engine.Submit(6, scenes[1]);
+  std::future<Tensor> f4 = engine.Submit(4, scenes[0]);
+  ASSERT_EQ(f4.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  ASSERT_EQ(f6.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(f4.get().shape()[0], 1);
   try {
-    f2.get();
+    f6.get();
     FAIL() << "stranded request should have been rejected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("stranded"), std::string::npos);
   }
-  EXPECT_EQ(engine.stats().rejected_requests, 1);
+  auto stats = engine.stats();
+  EXPECT_EQ(stats.rejected_requests, 1);
+  EXPECT_EQ(stats.deadline_flushes, 1);
 
   // No orphan left behind: Drain must not trip its completeness check, and
   // the engine keeps serving.
-  std::future<Tensor> f3 = engine.Submit(scenes[0]);
+  Release(gate.get());
+  std::future<Tensor> f8 = engine.Submit(scenes[0]);
   engine.Drain();
-  EXPECT_EQ(f3.get().shape()[0], 1);
+  EXPECT_EQ(f8.get().shape()[0], 1);
+  for (auto& f : wedged) EXPECT_EQ(f.get().shape()[0], 1);
 }
 
 TEST(AsyncEngineErrorTest, NegativeTimeoutRejectedViaFuture) {
@@ -416,6 +507,72 @@ TEST(AsyncEngineErrorTest, MisshapenSceneRejectedViaFutureAndBatchMatesKeepTheir
   EXPECT_EQ(stats.batches, 3);
 }
 
+TEST(AsyncEngineErrorTest, NonFiniteObservationRejectedViaFuture) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  auto scenes = Scenes(8);
+  auto options = Options(/*batch_size=*/4);
+  auto reference = Serve(method, scenes, options);
+
+  // NaN or Inf anywhere in the observed window: the focal track's first
+  // obs_len points, or any neighbor window.
+  const data::SequenceConfig seq;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<data::TrajectorySequence> bad(3, scenes[0]);
+  bad[0].focal[0].x = nan;
+  bad[1].focal[static_cast<size_t>(seq.obs_len) - 1].y = -inf;
+  bad[2].neighbors.push_back(std::vector<sim::Vec2>(
+      static_cast<size_t>(seq.obs_len), bad[2].focal[0]));
+  bad[2].neighbors.back()[3].x = inf;
+
+  InferenceEngine engine(&method, options);
+  std::vector<std::future<Tensor>> valid;
+  std::vector<std::future<Tensor>> rejected;
+  for (size_t i = 0; i < scenes.size(); ++i) {
+    valid.push_back(engine.Submit(scenes[i]));
+    if (i < bad.size()) rejected.push_back(engine.Submit(bad[i]));  // into batch 0
+  }
+  engine.Drain();
+  for (auto& f : rejected) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    try {
+      f.get();
+      FAIL() << "a non-finite observation should have been rejected";
+    } catch (const InvalidRequestError& e) {
+      EXPECT_NE(std::string(e.what()).find("not finite"), std::string::npos) << e.what();
+    }
+  }
+  // The rejected scenes took no slot: their batch mates keep their bytes.
+  ExpectAllEqual(reference, Collect(&valid));
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.requests, 11);
+  EXPECT_EQ(stats.rejected_requests, 3);
+  EXPECT_EQ(stats.batches, 2);
+}
+
+TEST(AsyncEngineTest, NonFiniteFutureStaysServable) {
+  // Only the losses read the future window, so a NaN there changes no
+  // served byte.
+  const data::SequenceConfig seq;
+  auto scenes = Scenes(3);
+  std::vector<data::TrajectorySequence> poisoned = scenes;
+  poisoned[1].focal[static_cast<size_t>(seq.obs_len) + 2].x =
+      std::numeric_limits<float>::quiet_NaN();
+  poisoned[2].focal.back().y = std::numeric_limits<float>::infinity();
+  for (auto kind : {models::BackboneKind::kSeq2Seq, models::BackboneKind::kPecnet,
+                    models::BackboneKind::kLbebm}) {
+    core::VanillaMethod method(kind, TinyBackbone(), 5);
+    auto options = Options(/*batch_size=*/4);
+    auto clean = Serve(method, scenes, options);
+    InferenceEngine engine(&method, options);
+    std::vector<std::future<Tensor>> futures;
+    for (const auto& s : poisoned) futures.push_back(engine.Submit(s));
+    engine.Drain();
+    ExpectAllEqual(clean, Collect(&futures));
+    EXPECT_EQ(engine.stats().rejected_requests, 0);
+  }
+}
+
 // --- Async dispatch ----------------------------------------------------------
 
 TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
@@ -450,26 +607,114 @@ TEST(AsyncEngineTest, SubmitNeverExecutesOnTheCallerThread) {
 }
 
 TEST(AsyncEngineTest, DeadlineFlushServesALoneRequestWithoutDrain) {
-  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
-  auto scenes = Scenes(1);
+  ScopedTrainWorkers two_workers(2);
+  auto gate = std::make_shared<Gate>();
+  WedgedVanilla method(gate);
+  auto scenes = Scenes(2);
   auto options = Options(/*batch_size=*/8);
   options.max_batch_delay_ms = 10;
 
   InferenceEngine engine(&method, options);
+  ASSERT_EQ(engine.num_workers(), 2);
+  // The first request finds the engine idle and is flushed at once; its
+  // batch wedges in flight, so the engine stays busy.
+  std::future<Tensor> wedged = engine.Submit(scenes[1]);
+  AwaitEntered(gate.get(), 1);
+  // The lone request behind it waits for its deadline on the free worker.
+  const auto submitted = std::chrono::steady_clock::now();
   std::future<Tensor> future = engine.Submit(scenes[0]);
   ASSERT_EQ(future.wait_for(std::chrono::seconds(10)), std::future_status::ready)
       << "deadline flush never fired";
+  EXPECT_GE(std::chrono::steady_clock::now() - submitted,
+            std::chrono::milliseconds(options.max_batch_delay_ms))
+      << "flushed before its deadline while a batch was in flight";
   Tensor served = future.get();
-  EXPECT_GE(engine.stats().deadline_flushes, 1);
+  EXPECT_EQ(engine.stats().deadline_flushes, 1);
+  Release(gate.get());
+  engine.Drain();
+  EXPECT_EQ(wedged.get().shape()[0], 1);
+  auto stats = engine.stats();
+  EXPECT_EQ(stats.idle_flushes, 1);
+  EXPECT_EQ(stats.deadline_flushes, 1);
 
   // Byte-identical to a Drain flush at the same point: the deadline decides
-  // the same batch composition (scene cycled to the fixed width, batch 0
+  // the same batch composition (scene cycled to the fixed width, batch 1
   // noise stream).
+  InferenceEngine reference(&method, Options(/*batch_size=*/8));
+  (void)reference.Submit(scenes[1]);
+  reference.Drain();
+  std::future<Tensor> drained = reference.Submit(scenes[0]);
+  reference.Drain();
+  Tensor expected = drained.get();
+  ASSERT_EQ(served.size(), expected.size());
+  EXPECT_EQ(std::memcmp(served.data(), expected.data(),
+                        static_cast<size_t>(expected.size()) * sizeof(float)),
+            0);
+}
+
+TEST(AsyncEngineTest, IdleEngineServesALoneRequestLongBeforeItsDeadline) {
+  core::VanillaMethod method(models::BackboneKind::kSeq2Seq, TinyBackbone(), 5);
+  auto scenes = Scenes(1);
+  auto options = Options(/*batch_size=*/8);
+  options.max_batch_delay_ms = 60000;
+
+  InferenceEngine engine(&method, options);
+  std::future<Tensor> future = engine.Submit(scenes[0]);
+  // Nothing is in flight, so waiting out the minute-long deadline would only
+  // leave the workers idle: the request is flushed at once.
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "an idle engine waited for the deadline";
+  Tensor served = future.get();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.idle_flushes, 1);
+  EXPECT_EQ(stats.deadline_flushes, 0);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.padded_rows, 7);
+
+  // The same batch composition as a Drain flush at the same point.
   auto drained = Serve(method, scenes, Options(/*batch_size=*/8));
   ASSERT_EQ(static_cast<size_t>(served.size()), drained[0].size());
   EXPECT_EQ(std::memcmp(served.data(), drained[0].data(),
                         drained[0].size() * sizeof(float)),
             0);
+}
+
+TEST(AsyncEngineTest, PartialRunBehindAWedgedBatchIsNotFlushedEarly) {
+  ScopedTrainWorkers two_workers(2);
+  auto gate = std::make_shared<Gate>();
+  WedgedVanilla method(gate);
+  auto scenes = Scenes(5);
+  auto options = Options(/*batch_size=*/4);
+  options.max_batch_delay_ms = 60000;
+
+  InferenceEngine engine(&method, options);
+  ASSERT_EQ(engine.num_workers(), 2);
+  // A full batch wedges in flight on one worker; the other stays free. Its
+  // head slot goes last, so an idle flush cannot take a partial run of it.
+  std::vector<std::future<Tensor>> futures(4);
+  for (uint64_t id = 4; id-- > 0;) futures[id] = engine.Submit(id, scenes[id]);
+  AwaitEntered(gate.get(), 1);
+
+  // The partial run behind it has a free worker but a busy engine: it must
+  // keep coalescing until its deadline, not flush early.
+  futures.push_back(engine.Submit(scenes[4]));
+  EXPECT_EQ(futures[4].wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "a partial run was flushed before its deadline while a batch ran";
+  auto stats = engine.stats();
+  EXPECT_EQ(stats.idle_flushes, 0);
+  EXPECT_EQ(stats.deadline_flushes, 0);
+  EXPECT_EQ(stats.batches, 0);
+
+  // Once the wedged batch completes the engine is idle, and the run goes at
+  // once — long before the deadline.
+  Release(gate.get());
+  ASSERT_EQ(futures[4].wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  for (auto& f : futures) EXPECT_EQ(f.get().shape()[0], 1);
+  stats = engine.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.idle_flushes, 1);
+  EXPECT_EQ(stats.deadline_flushes, 0);
 }
 
 TEST(AsyncEngineTest, MultiProducerBitIdenticalAcrossProducersAndWorkers) {
